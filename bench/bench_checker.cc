@@ -1,14 +1,16 @@
 // Experiment E1 (and the cost side of Theorem 1/2): the exact deadlock
 // checkers blow up exponentially with transaction size — the reason the
 // paper's polynomial safe+DF tests matter. Includes the two detection
-// modes, the memoization ablation (DESIGN.md §5.2), and the paper-figure
-// systems as fixed cases.
+// modes, the naive seed search (tests/reference_search.h) as the
+// per-state cost baseline, and the paper-figure systems as fixed cases.
 #include <benchmark/benchmark.h>
 
 #include "analysis/deadlock_checker.h"
 #include "analysis/multi_analyzer.h"
 #include "analysis/safety_checker.h"
+#include "bench/bench_counters.h"
 #include "gen/system_gen.h"
+#include "tests/reference_search.h"
 #include "tests/test_util.h"
 
 namespace wydb {
@@ -60,19 +62,6 @@ void BM_ExactDeadlockCheck_ReductionGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactDeadlockCheck_ReductionGraph)->DenseRange(2, 5, 1);
-
-// Ablation: turning memoization off revisits states along every path.
-void BM_ExactDeadlockCheck_NoMemo(benchmark::State& state) {
-  OwnedSystem sys = SameOrderPair(static_cast<int>(state.range(0)));
-  DeadlockCheckOptions opts;
-  opts.memoize = false;
-  opts.max_states = 50'000'000;
-  for (auto _ : state) {
-    auto report = CheckDeadlockFreedom(*sys.system, opts);
-    benchmark::DoNotOptimize(report);
-  }
-}
-BENCHMARK(BM_ExactDeadlockCheck_NoMemo)->DenseRange(2, 4, 1);
 
 void BM_ExactSafeDfCheck(benchmark::State& state) {
   OwnedSystem sys = SameOrderPair(static_cast<int>(state.range(0)));
@@ -129,20 +118,24 @@ void BM_Figure2System(benchmark::State& state) {
 BENCHMARK(BM_Figure2System);
 
 // Exploding-but-benign workloads where the exact checkers must visit the
-// whole state space: the per-state cost contrast between the interned
-// incremental engine (default) and the retained seed implementation
-// (kNaiveReference), measured in the same binary. DisjointGrid visits
-// 7^k execution states; SharedChain explores (state, conflict-arc-set)
-// pairs with real arcs.
-void RunStuckStateGrid(benchmark::State& state, SearchEngine engine) {
+// whole state space: the per-state cost contrast between the library
+// search (default engine) and the seed implementation kept as the test
+// oracle, measured in the same binary. DisjointGrid visits 7^k execution
+// states; SharedChain explores (state, conflict-arc-set) pairs with real
+// arcs.
+using DeadlockCheck = Result<DeadlockReport> (*)(const TransactionSystem&,
+                                                 const DeadlockCheckOptions&);
+using SafetyCheck = Result<SafetyReport> (*)(const TransactionSystem&,
+                                             const SafetyCheckOptions&);
+
+void RunStuckStateGrid(benchmark::State& state, DeadlockCheck check) {
   auto grid = GenerateDisjointGridSystem(static_cast<int>(state.range(0)),
                                          /*entities_per_txn=*/3);
   if (!grid.ok()) std::abort();
   DeadlockCheckOptions opts;
-  opts.engine = engine;
   uint64_t states = 0;
   for (auto _ : state) {
-    auto report = CheckDeadlockFreedom(*grid->system, opts);
+    auto report = check(*grid->system, opts);
     if (!report.ok()) {
       state.SkipWithError("budget");
       break;
@@ -151,33 +144,30 @@ void RunStuckStateGrid(benchmark::State& state, SearchEngine engine) {
     benchmark::DoNotOptimize(report);
   }
   state.counters["states"] = static_cast<double>(states);
-  state.counters["ns_per_state"] = benchmark::Counter(
-      static_cast<double>(states) * state.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["ns_per_state"] = NsPerState(states, state.iterations());
 }
 
 void BM_ExactDeadlockCheck_StuckState_Grid(benchmark::State& state) {
-  RunStuckStateGrid(state, SearchEngine::kIncremental);
+  RunStuckStateGrid(state, &CheckDeadlockFreedom);
 }
 BENCHMARK(BM_ExactDeadlockCheck_StuckState_Grid)
     ->DenseRange(2, 6, 1)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ExactDeadlockCheck_StuckState_Grid_Seed(benchmark::State& state) {
-  RunStuckStateGrid(state, SearchEngine::kNaiveReference);
+  RunStuckStateGrid(state, &reference::CheckDeadlockFreedom);
 }
 BENCHMARK(BM_ExactDeadlockCheck_StuckState_Grid_Seed)
     ->DenseRange(2, 6, 1)
     ->Unit(benchmark::kMicrosecond);
 
-void RunSafetyChain(benchmark::State& state, SearchEngine engine) {
+void RunSafetyChain(benchmark::State& state, SafetyCheck check) {
   auto chain = GenerateSharedChainSystem(static_cast<int>(state.range(0)));
   if (!chain.ok()) std::abort();
   SafetyCheckOptions opts;
-  opts.engine = engine;
   uint64_t states = 0;
   for (auto _ : state) {
-    auto report = CheckSafeAndDeadlockFree(*chain->system, opts);
+    auto report = check(*chain->system, opts);
     if (!report.ok()) {
       state.SkipWithError("budget");
       break;
@@ -186,20 +176,18 @@ void RunSafetyChain(benchmark::State& state, SearchEngine engine) {
     benchmark::DoNotOptimize(report);
   }
   state.counters["states"] = static_cast<double>(states);
-  state.counters["ns_per_state"] = benchmark::Counter(
-      static_cast<double>(states) * state.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["ns_per_state"] = NsPerState(states, state.iterations());
 }
 
 void BM_ExactSafeDfCheck_Chain(benchmark::State& state) {
-  RunSafetyChain(state, SearchEngine::kIncremental);
+  RunSafetyChain(state, &CheckSafeAndDeadlockFree);
 }
 BENCHMARK(BM_ExactSafeDfCheck_Chain)
     ->DenseRange(2, 5, 1)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_ExactSafeDfCheck_Chain_Seed(benchmark::State& state) {
-  RunSafetyChain(state, SearchEngine::kNaiveReference);
+  RunSafetyChain(state, &reference::CheckSafeAndDeadlockFree);
 }
 BENCHMARK(BM_ExactSafeDfCheck_Chain_Seed)
     ->DenseRange(2, 5, 1)

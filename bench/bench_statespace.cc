@@ -1,8 +1,9 @@
 // Microbenchmarks for the interned-state search substrate: state
 // interning, incremental move generation vs the naive rescan, and the
-// exact checkers under both engines (the incremental-arc cycle path is
-// exercised by the SafeDf series). Baseline numbers are recorded in
-// BENCH_statespace.json at the repo root.
+// exact checkers against the naive seed search of tests/reference_search.h
+// (the incremental-arc cycle path is exercised by the SafeDf series).
+// Baseline numbers are recorded in BENCH_statespace.json at the repo
+// root; ns_per_state is in nanoseconds.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -10,10 +11,12 @@
 #include "analysis/deadlock_checker.h"
 #include "analysis/safety_checker.h"
 #include "analysis/sat/dpll.h"
+#include "bench/bench_counters.h"
 #include "common/random.h"
 #include "core/state_space.h"
 #include "core/state_store.h"
 #include "gen/system_gen.h"
+#include "tests/reference_search.h"
 
 namespace wydb {
 namespace {
@@ -115,16 +118,20 @@ void BM_MoveGen_Incremental(benchmark::State& state) {
 BENCHMARK(BM_MoveGen_Incremental)->Arg(8)->Arg(16);
 
 // ---------------------------------------------------------------------
-// End-to-end: exact checkers under both engines. The ns/state contrast is
-// the headline number of this substrate (ISSUE 1 acceptance).
+// End-to-end: the exact checkers against the naive seed search. The
+// ns/state contrast is the headline number of this substrate.
 
-void RunDeadlockBench(benchmark::State& state, SearchEngine engine) {
+using DeadlockCheck = Result<DeadlockReport> (*)(const TransactionSystem&,
+                                                 const DeadlockCheckOptions&);
+using SafetyCheck = Result<SafetyReport> (*)(const TransactionSystem&,
+                                             const SafetyCheckOptions&);
+
+void RunDeadlockBench(benchmark::State& state, DeadlockCheck check) {
   OwnedSystem sys = SameOrderPair(static_cast<int>(state.range(0)));
   DeadlockCheckOptions opts;
-  opts.engine = engine;
   uint64_t states = 0;
   for (auto _ : state) {
-    auto report = CheckDeadlockFreedom(*sys.system, opts);
+    auto report = check(*sys.system, opts);
     if (!report.ok()) {
       state.SkipWithError("budget");
       break;
@@ -133,18 +140,16 @@ void RunDeadlockBench(benchmark::State& state, SearchEngine engine) {
     benchmark::DoNotOptimize(report);
   }
   state.counters["states"] = static_cast<double>(states);
-  state.counters["ns_per_state"] = benchmark::Counter(
-      static_cast<double>(states) * state.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["ns_per_state"] = NsPerState(states, state.iterations());
 }
 
 void BM_DeadlockCheck_Naive(benchmark::State& state) {
-  RunDeadlockBench(state, SearchEngine::kNaiveReference);
+  RunDeadlockBench(state, &reference::CheckDeadlockFreedom);
 }
 BENCHMARK(BM_DeadlockCheck_Naive)->DenseRange(4, 8, 2);
 
 void BM_DeadlockCheck_Incremental(benchmark::State& state) {
-  RunDeadlockBench(state, SearchEngine::kIncremental);
+  RunDeadlockBench(state, &CheckDeadlockFreedom);
 }
 BENCHMARK(BM_DeadlockCheck_Incremental)->DenseRange(4, 8, 2);
 
@@ -184,9 +189,7 @@ void RunGridDeadlockBench(benchmark::State& state, SearchEngine engine) {
   // Wall-clock ns/state (UseRealTime below): the scaling metric. The
   // default CPU-time rate would only meter the calling thread and
   // overstate multi-thread runs.
-  state.counters["ns_per_state"] = benchmark::Counter(
-      static_cast<double>(states) * state.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["ns_per_state"] = NsPerState(states, state.iterations());
 }
 
 void BM_GridDeadlock_Incremental(benchmark::State& state) {
@@ -262,9 +265,7 @@ void RunFarmDeadlockBench(benchmark::State& state, SearchEngine engine) {
     benchmark::DoNotOptimize(report);
   }
   state.counters["states"] = static_cast<double>(states);
-  state.counters["ns_per_state"] = benchmark::Counter(
-      static_cast<double>(states) * state.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["ns_per_state"] = NsPerState(states, state.iterations());
 }
 
 void BM_FarmDeadlock_Incremental(benchmark::State& state) {
@@ -341,9 +342,7 @@ void RunFarmMemoryBench(benchmark::State& state,
     benchmark::DoNotOptimize(report);
   }
   state.counters["states"] = static_cast<double>(states);
-  state.counters["ns_per_state"] = benchmark::Counter(
-      static_cast<double>(states) * state.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["ns_per_state"] = NsPerState(states, state.iterations());
   state.counters["bytes_per_state"] =
       static_cast<double>(store_bytes) /
       static_cast<double>(interned > 0 ? interned : 1);
@@ -365,13 +364,12 @@ void BM_FarmDeadlockMem_Compact(benchmark::State& state) {
 }
 BENCHMARK(BM_FarmDeadlockMem_Compact)->Args({16, 2})->UseRealTime();
 
-void RunSafeDfBench(benchmark::State& state, SearchEngine engine) {
+void RunSafeDfBench(benchmark::State& state, SafetyCheck check) {
   OwnedSystem sys = SameOrderPair(static_cast<int>(state.range(0)));
   SafetyCheckOptions opts;
-  opts.engine = engine;
   uint64_t states = 0;
   for (auto _ : state) {
-    auto report = CheckSafeAndDeadlockFree(*sys.system, opts);
+    auto report = check(*sys.system, opts);
     if (!report.ok()) {
       state.SkipWithError("budget");
       break;
@@ -380,18 +378,16 @@ void RunSafeDfBench(benchmark::State& state, SearchEngine engine) {
     benchmark::DoNotOptimize(report);
   }
   state.counters["states"] = static_cast<double>(states);
-  state.counters["ns_per_state"] = benchmark::Counter(
-      static_cast<double>(states) * state.iterations(),
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["ns_per_state"] = NsPerState(states, state.iterations());
 }
 
 void BM_SafeDfCheck_Naive(benchmark::State& state) {
-  RunSafeDfBench(state, SearchEngine::kNaiveReference);
+  RunSafeDfBench(state, &reference::CheckSafeAndDeadlockFree);
 }
 BENCHMARK(BM_SafeDfCheck_Naive)->DenseRange(3, 6, 1);
 
 void BM_SafeDfCheck_Incremental(benchmark::State& state) {
-  RunSafeDfBench(state, SearchEngine::kIncremental);
+  RunSafeDfBench(state, &CheckSafeAndDeadlockFree);
 }
 BENCHMARK(BM_SafeDfCheck_Incremental)->DenseRange(3, 6, 1);
 

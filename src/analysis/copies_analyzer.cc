@@ -87,7 +87,7 @@ Result<TransactionSystem> MakeCopies(const Transaction& t, int d) {
       for (NodeId w : t.graph().OutNeighbors(v)) arcs.emplace_back(v, w);
     }
     auto copy = Transaction::Create(&t.db(),
-                                    StrFormat("%s#%d", t.name().c_str(), i),
+                                    StrFormat("%s_%d", t.name().c_str(), i),
                                     std::move(steps), std::move(arcs));
     if (!copy.ok()) return copy.status();
     txns.push_back(std::move(*copy));

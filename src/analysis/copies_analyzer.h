@@ -34,7 +34,7 @@ CopiesVerdict CheckTwoCopies(const Transaction& t);
 /// trivially safe+DF.
 CopiesVerdict CheckCopies(const Transaction& t, int d);
 
-/// Materializes a system of d copies of `t` (named "<name>#1".."#d") for
+/// Materializes a system of d copies of `t` (named "<name>_1".."<name>_d", names a .wydb file can hold) for
 /// cross-validation against the exact checkers.
 Result<TransactionSystem> MakeCopies(const Transaction& t, int d);
 

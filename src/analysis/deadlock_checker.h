@@ -38,25 +38,20 @@ struct DeadlockCheckOptions {
   /// Abort with ResourceExhausted after visiting this many states
   /// (0 = unbounded).
   uint64_t max_states = 5'000'000;
-  /// When false, skip memoization of visited states (ablation knob for the
-  /// bench suite; exponentially slower on diamond-shaped state spaces).
-  bool memoize = true;
-  /// Expansion engine; kNaiveReference is the retained seed implementation
-  /// used for cross-validation and benchmarking.
+  /// Search engine (analysis/search_engine.h).
   SearchEngine engine = SearchEngine::kIncremental;
-  /// Worker threads for kParallelSharded (ignored by the serial engines).
-  /// 0 = the WYDB_SEARCH_THREADS environment variable when set, else the
-  /// hardware concurrency. Results are identical for every value.
+  /// Worker threads for kParallelSharded and kReduced (kIncremental runs
+  /// one). 0 = the WYDB_SEARCH_THREADS environment variable when set,
+  /// else the hardware concurrency. Results are identical for every value.
   int search_threads = 0;
   /// Store memory mode (DESIGN.md §9): key encoding + spill watermark.
-  /// Non-default values require the kParallelSharded or kReduced engine
-  /// (kCompact: kParallelSharded only — reduced witness replay reads
-  /// ancestor keys, which compaction discards).
+  /// Every engine takes every mode except kCompact under kReduced
+  /// (reduced witness replay reads ancestor keys, which compaction
+  /// discards).
   StoreOptions store;
   /// Wall-clock abort point; default-constructed (epoch) = no deadline.
-  /// Overruns return ResourceExhausted, like max_states. Checked every
-  /// ~2048 popped states by the serial engines and once per worker chunk
-  /// by the level-synchronous ones.
+  /// Overruns return ResourceExhausted, like max_states. Checked once per
+  /// level and once per worker chunk of 64 states.
   std::chrono::steady_clock::time_point deadline{};
 };
 
@@ -76,21 +71,21 @@ struct DeadlockReport {
   uint64_t states_visited = 0;
   /// Distinct states held by the search store when the verdict was
   /// reached — the memory-side cost metric behind `--stats`. On a
-  /// deadlock-free run this is the full reachable-state count for the
-  /// exhaustive engines and the orbit-representative count under
-  /// kReduced; on witness-bearing runs it is engine-dependent (how many
-  /// children of the final level were interned before returning).
+  /// deadlock-free run this is the full reachable-state count (the
+  /// orbit-representative count under kReduced). On witness-bearing runs
+  /// it counts the levels committed before the witness level, which a
+  /// serial pop loop would not reproduce.
   uint64_t states_interned = 0;
   /// Expansions skipped by kReduced's persistent-move (sleep-set)
   /// pruning; 0 for the exhaustive engines.
   uint64_t sleep_set_pruned = 0;
-  /// Times the engine consulted the wall clock against `deadline`
+  /// Times the search consulted the wall clock against `deadline`
   /// (0 when no deadline was set): evidence that the budget was being
-  /// enforced, surfaced by `--stats` and the server's `stats` verb.
+  /// enforced, surfaced by `--stats` and the server's `stats` verb. The
+  /// count follows the polling cadence, so it depends on the thread count.
   uint64_t deadline_polls = 0;
   /// Memory-side cost metrics (--stats; DESIGN.md §9). Total store
   /// bytes, of which the key/aux/record arenas and the probe tables.
-  /// Zero for kNaiveReference (no instrumented store).
   uint64_t store_bytes = 0;
   uint64_t arena_bytes = 0;
   uint64_t probe_table_bytes = 0;

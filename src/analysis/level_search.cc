@@ -1,0 +1,106 @@
+#include "analysis/level_search.h"
+
+#include <cmath>
+#include <cstring>
+
+#include "common/string_util.h"
+
+namespace wydb {
+
+Status ValidateStoreOptions(const StoreOptions& store, SearchEngine engine) {
+  if (store.encoding == StoreOptions::KeyEncoding::kCompact &&
+      engine == SearchEngine::kReduced) {
+    return Status::InvalidArgument(
+        "hash compaction requires the parallel engine: reduced witness "
+        "replay reads ancestor keys, which compaction discards");
+  }
+  return Status::OK();
+}
+
+LevelSearchBase::LevelSearchBase(const LevelSearchLimits& limits,
+                                 int key_words, int aux_words,
+                                 const KeyCanonicalizer* canonicalizer)
+    : limits_(limits),
+      pool_(limits.threads),
+      // Shard count never changes a result, only cost. Four per worker;
+      // at one worker, two: one shard measured slower (its arenas regrow
+      // in large copies), and four left a server ~12% more resident
+      // memory (more mid-size allocations to fragment the heap).
+      store_(key_words, aux_words,
+             /*num_shards=*/pool_.threads() == 1 ? 2 : 4 * pool_.threads(),
+             limits.store),
+      stager_(&store_, &pool_, limits.store.mem_budget_mb << 20,
+              kChunkStates),
+      has_deadline_(limits.deadline !=
+                    std::chrono::steady_clock::time_point{}) {
+  store_.set_canonicalizer(canonicalizer);
+}
+
+void LevelSearchBase::InternRoot(const uint64_t* key, const uint64_t* aux) {
+  // The empty state is its own canonical form.
+  const uint32_t root = store_.InternRoot(key);
+  std::memcpy(store_.MutableAuxOf(root), aux,
+              store_.aux_words() * sizeof(uint64_t));
+}
+
+bool LevelSearchBase::DeadlinePassed() {
+  if (!has_deadline_) return false;
+  ++deadline_polls_;
+  return std::chrono::steady_clock::now() >= limits_.deadline;
+}
+
+bool LevelSearchBase::ChunkExpired() {
+  // A per-level poll alone would let one oversized level outrun the
+  // budget by its whole expansion time.
+  if (!has_deadline_) return false;
+  if (deadline_hit_.load(std::memory_order_relaxed)) return true;
+  worker_polls_.fetch_add(1, std::memory_order_relaxed);
+  if (std::chrono::steady_clock::now() >= limits_.deadline) {
+    deadline_hit_.store(true, std::memory_order_relaxed);
+    return true;
+  }
+  return false;
+}
+
+bool LevelSearchBase::EndLevelPolls() {
+  deadline_polls_ += worker_polls_.exchange(0, std::memory_order_relaxed);
+  return deadline_hit_.load(std::memory_order_relaxed);
+}
+
+Status LevelSearchBase::BudgetError() const {
+  return Status::ResourceExhausted(
+      StrFormat("%s check exceeded %llu states", limits_.check,
+                static_cast<unsigned long long>(limits_.max_states)));
+}
+
+Status LevelSearchBase::DeadlineError() const {
+  return Status::ResourceExhausted(
+      StrFormat("%s check deadline exceeded", limits_.check));
+}
+
+Status LevelSearchBase::Finish(uint32_t id) {
+  if (OverBudget(static_cast<uint64_t>(id) + 1)) return BudgetError();
+  witness_ = id;
+  states_visited_ = static_cast<uint64_t>(id) + 1;
+  return Status::OK();
+}
+
+Status LevelSearchBase::CommitLevel() {
+  if (!stager_.Commit()) {
+    return Status::Internal("frontier spill read-back failed");
+  }
+  // Hash compaction keeps only the frontier's key/aux words resident;
+  // every level below it has been fully expanded. No-op otherwise.
+  store_.RetireExpanded();
+  return Status::OK();
+}
+
+double LevelSearchBase::CollisionBound() const {
+  // Fingerprint identity can merge distinct states, so a positive verdict
+  // is not a certificate; the expected number of colliding pairs among n
+  // 64-bit fingerprints is <= n(n-1)/2^65.
+  const double n = static_cast<double>(store_.size());
+  return std::ldexp(n * (n - 1.0), -65);
+}
+
+}  // namespace wydb

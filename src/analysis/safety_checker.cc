@@ -2,39 +2,15 @@
 
 #include <bit>
 #include <cstring>
-#include <numeric>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "analysis/store_stats.h"
+#include "analysis/level_search.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
-#include "core/frontier_spill.h"
 #include "core/state_space.h"
-#include "core/state_store.h"
 #include "core/symmetry.h"
 #include "graph/algorithms.h"
 
 namespace wydb {
 namespace {
-
-Status DeadlineError() {
-  return Status::ResourceExhausted("safety check deadline exceeded");
-}
-
-/// Polls the deadline, counting the wall-clock consult in the report;
-/// true when a configured deadline has passed. No-deadline runs cost one
-/// comparison and count nothing.
-bool PollDeadline(const SafetyCheckOptions& options, SafetyReport* report) {
-  if (options.deadline == std::chrono::steady_clock::time_point{}) {
-    return false;
-  }
-  ++report->deadline_polls;
-  return std::chrono::steady_clock::now() >= options.deadline;
-}
-
-/// How often the serial engines poll the deadline, in popped states.
-constexpr uint64_t kDeadlineStride = 2048;
 
 /// True iff transaction `t` lies on a cycle of the packed row-major arc
 /// bitset (one row of `row_words` words per transaction): bitset BFS from
@@ -76,9 +52,9 @@ inline void AddPackedArc(uint64_t* arcs, int row_words, int i, int j) {
   arcs[i * row_words + j / 64] |= 1ULL << (j % 64);
 }
 
-/// The one definition of the §5 child arc update shared by every Lemma
-/// engine (the bit-identical contract of the exhaustive ones rides on
-/// it): executing `g` from the parent state `parent_key` adds, for a
+/// The one definition of the §5 child arc update, shared by the search
+/// and the reduced witness replay: executing `g` from the parent state
+/// `parent_key` adds, for a
 /// Lock of x by Ti, the arc Tj -> Ti for every CONFLICTING accessor Tj
 /// whose Lx is already executed in S' and Ti -> Tj otherwise. Two
 /// shared locks on x are compatible and draw no arc (X–X and X–S pairs
@@ -119,199 +95,10 @@ bool ApplyLockArcsAndTestCycle(const StateSpace& space,
   return ArcsOnCycle(arcs, g.txn, row_words, reach, frontier);
 }
 
-// ---------------------------------------------------------------------------
-// Naive reference engine (the seed implementation): heap-copied states in
-// hash containers, the conflict digraph rebuilt and FindCycle rerun from
-// scratch at every state. Retained for cross-validation and benchmarking.
-// ---------------------------------------------------------------------------
-
-// Search state: executed steps plus the arc set of D(S') packed as an
-// n*n bitmask appended to the exec words (arc i->j at bit i*n + j).
-struct LemmaState {
-  std::vector<uint64_t> words;
-  bool operator==(const LemmaState&) const = default;
-};
-
-struct LemmaStateHash {
-  size_t operator()(const LemmaState& s) const {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    for (uint64_t w : s.words) {
-      h ^= w;
-      h *= 0x100000001B3ULL;
-    }
-    return static_cast<size_t>(h);
-  }
-};
-
-class LemmaSearchNaive {
- public:
-  LemmaSearchNaive(const TransactionSystem& sys,
-                   const SafetyCheckOptions& options, bool require_complete)
-      : sys_(sys),
-        options_(options),
-        require_complete_(require_complete),
-        space_(&sys),
-        n_(sys.num_transactions()),
-        exec_words_(space_.words_per_state()),
-        arc_words_((n_ * n_ + 63) / 64) {}
-
-  Result<SafetyReport> Run();
-
- private:
-  LemmaState Root() const {
-    LemmaState s;
-    s.words.assign(exec_words_ + arc_words_, 0);
-    return s;
-  }
-
-  ExecState ExecOf(const LemmaState& s) const {
-    ExecState e;
-    e.words.assign(s.words.begin(), s.words.begin() + exec_words_);
-    return e;
-  }
-
-  bool ArcSet(const LemmaState& s, int i, int j) const {
-    int bit = i * n_ + j;
-    return (s.words[exec_words_ + bit / 64] >> (bit % 64)) & 1;
-  }
-
-  void AddArc(LemmaState* s, int i, int j) const {
-    int bit = i * n_ + j;
-    s->words[exec_words_ + bit / 64] |= 1ULL << (bit % 64);
-  }
-
-  Digraph ArcsDigraph(const LemmaState& s) const {
-    Digraph d(n_);
-    for (int i = 0; i < n_; ++i) {
-      for (int j = 0; j < n_; ++j) {
-        if (i != j && ArcSet(s, i, j)) d.AddArc(i, j);
-      }
-    }
-    return d;
-  }
-
-  // Applies `g`, updating arcs per the partial-schedule digraph D(S')
-  // definition of Section 5.
-  LemmaState Apply(const LemmaState& s, GlobalNode g) const {
-    LemmaState next = s;
-    ExecState exec = ExecOf(s);
-    ExecState exec_next = space_.Apply(exec, g);
-    for (int w = 0; w < exec_words_; ++w) next.words[w] = exec_next.words[w];
-
-    const Step& st = sys_.txn(g.txn).step(g.node);
-    if (st.kind == StepKind::kLock) {
-      EntityId x = st.entity;
-      for (int j : sys_.AccessorsOf(x)) {
-        if (j == g.txn) continue;
-        if (!LockModesConflict(st.mode, sys_.txn(j).LockModeOf(x))) {
-          continue;  // S–S: compatible, no conflict arc.
-        }
-        NodeId lj = sys_.txn(j).LockNode(x);
-        if (space_.IsExecuted(exec, j, lj)) {
-          AddArc(&next, j, g.txn);  // Tj locked x earlier in S'.
-        } else {
-          AddArc(&next, g.txn, j);  // Ti locks first, even if Lx of Tj
-                                    // never executes in S'.
-        }
-      }
-    }
-    return next;
-  }
-
-  const TransactionSystem& sys_;
-  const SafetyCheckOptions& options_;
-  const bool require_complete_;
-  StateSpace space_;
-  const int n_;
-  const int exec_words_;
-  const int arc_words_;
-};
-
-Result<SafetyReport> LemmaSearchNaive::Run() {
-  SafetyReport report;
-  std::unordered_set<LemmaState, LemmaStateHash> visited;
-  std::unordered_map<LemmaState, std::pair<LemmaState, GlobalNode>,
-                     LemmaStateHash>
-      parent;
-  std::vector<LemmaState> queue;
-  LemmaState root = Root();
-  queue.push_back(root);
-  visited.insert(root);
-
-  auto path_to = [&](const LemmaState& state) {
-    Schedule rev;
-    LemmaState cur = state;
-    while (!(cur == root)) {
-      auto it = parent.find(cur);
-      rev.push_back(it->second.second);
-      cur = it->second.first;
-    }
-    return Schedule(rev.rbegin(), rev.rend());
-  };
-
-  for (size_t head = 0; head < queue.size(); ++head) {
-    LemmaState s = queue[head];
-    ++report.states_visited;
-    if (options_.max_states != 0 &&
-        report.states_visited > options_.max_states) {
-      return Status::ResourceExhausted(StrFormat(
-          "safety check exceeded %llu states",
-          static_cast<unsigned long long>(options_.max_states)));
-    }
-    if (report.states_visited % kDeadlineStride == 1 &&
-        PollDeadline(options_, &report)) {
-      return DeadlineError();
-    }
-
-    Digraph arcs = ArcsDigraph(s);
-    std::vector<NodeId> cycle = FindCycle(arcs);
-    if (!cycle.empty()) {
-      Schedule sched = path_to(s);
-      if (!require_complete_) {
-        report.holds = false;
-        report.violation = SafetyViolation{
-            std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
-        report.states_interned = visited.size();
-        return report;
-      }
-      // Safety alone: the cyclic partial schedule only matters if it can
-      // be extended to a complete schedule. Arc sets only grow, so the
-      // completed schedule is also cyclic.
-      auto completion =
-          space_.FindCompletion(ExecOf(s), options_.max_states);
-      if (!completion.ok()) return completion.status();
-      if (completion->has_value()) {
-        sched.insert(sched.end(), (*completion)->begin(),
-                     (*completion)->end());
-        report.holds = false;
-        report.violation = SafetyViolation{
-            std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
-        report.states_interned = visited.size();
-        return report;
-      }
-      // Not completable: neither this state nor any descendant can reach a
-      // complete schedule — prune the subtree.
-      continue;
-    }
-
-    for (GlobalNode g : space_.LegalMoves(ExecOf(s))) {
-      LemmaState next = Apply(s, g);
-      if (visited.insert(next).second) {
-        parent.emplace(next, std::make_pair(s, g));
-        queue.push_back(next);
-      }
-    }
-  }
-
-  report.holds = true;
-  report.states_interned = visited.size();
-  return report;
-}
-
-
-// Shared [exec words | arc rows] key layout of the Lemma engines — one
-// definition for the serial and parallel implementations, so the packed
-// key format (and with it their bit-identical contract) cannot diverge.
+// The Lemma search key is [exec words | arc rows]: the conflict-arc set
+// of D(S') packed row-major, one row of ceil(n/64) words per transaction,
+// so row operations (reachability) are word ops. The aux words are the
+// StateSpace cache plus one flag word.
 struct LemmaKeyLayout {
   explicit LemmaKeyLayout(const StateSpace& space)
       : n_(space.system().num_transactions()),
@@ -357,680 +144,230 @@ struct LemmaKeyLayout {
 };
 
 // ---------------------------------------------------------------------------
-// Incremental engine.
-//
-// States are interned in a StateStore. The key is [exec words | arc rows]:
-// the conflict-arc set of D(S') packed row-major, one row of ceil(n/64)
-// words per transaction, so row operations (reachability) are word ops.
+// Lemma 1 as a level-search policy.
 //
 // Cycle detection is incremental. Arc sets only grow along a path (§5
 // lemma), and every arc added by applying a Lock step of transaction t is
 // incident to t. Hence if the parent state's digraph is acyclic, any cycle
 // in the child passes through t, so the child is cyclic iff t can reach
-// itself — one bitset BFS from t's row instead of a full FindCycle. BFS
-// only ever expands acyclic states (cyclic ones report or prune), so the
-// invariant "parent acyclic" holds inductively and each state's cyclicity
-// is decided once, at creation, and carried in a flag word.
+// itself — one bitset BFS from t's row instead of a full FindCycle. The
+// search only ever expands acyclic states (cyclic ones report or prune),
+// so "parent acyclic" holds inductively, and each state's cyclicity is
+// decided once, when it is staged, and carried in the aux flag word. The
+// driver's serial scan then decides the flagged states in id order: for
+// safe+DF the first one is the violation; for pure safety each one is
+// reported if it can be completed and pruned otherwise.
 // ---------------------------------------------------------------------------
 
-class LemmaSearchIncremental {
+class LemmaPolicy {
  public:
-  LemmaSearchIncremental(const TransactionSystem& sys,
-                         const SafetyCheckOptions& options,
-                         bool require_complete)
-      : sys_(sys),
-        options_(options),
-        require_complete_(require_complete),
-        space_(&sys),
-        lay_(space_),
-        reach_(lay_.row_words_),
-        frontier_(lay_.row_words_) {}
-
-  Result<SafetyReport> Run();
-
- private:
-  const TransactionSystem& sys_;
-  const SafetyCheckOptions& options_;
-  const bool require_complete_;
-  StateSpace space_;
-  const LemmaKeyLayout lay_;
-  mutable std::vector<uint64_t> reach_;
-  mutable std::vector<uint64_t> frontier_;
-};
-
-Result<SafetyReport> LemmaSearchIncremental::Run() {
-  SafetyReport report;
-  StateStore store(lay_.key_words_, lay_.aux_words_);
-
-  std::vector<uint64_t> key_buf(lay_.key_words_, 0);
-  std::vector<uint64_t> aux_buf(lay_.aux_words_, 0);
-  space_.InitRoot(key_buf.data(), aux_buf.data());
-  uint32_t root = store.Intern(key_buf.data()).id;
-  std::memcpy(store.MutableAuxOf(root), aux_buf.data(),
-              lay_.aux_words_ * sizeof(uint64_t));
-
-  // Delta gate (docs/SERVE.md): with the system minus txn `delta` known
-  // safe+DF, no reachable state with `delta` idle can be cyclic, so
-  // children of delta-idle parents reached by non-delta moves skip the
-  // cycle test. Idleness is one word-range scan of the parent's exec
-  // block for `delta`.
-  const int delta = options_.delta_txn;
-  const int delta_off = delta >= 0 ? space_.txn_word_offset(delta) : 0;
-  const int delta_cnt = delta >= 0 ? space_.txn_word_count(delta) : 0;
-
-  std::vector<GlobalNode> moves;
-  moves.reserve(64);
-  for (uint32_t head = 0; head < store.size(); ++head) {
-    ++report.states_visited;
-    if (options_.max_states != 0 &&
-        report.states_visited > options_.max_states) {
-      return Status::ResourceExhausted(StrFormat(
-          "safety check exceeded %llu states",
-          static_cast<unsigned long long>(options_.max_states)));
-    }
-    if (report.states_visited % kDeadlineStride == 1 &&
-        PollDeadline(options_, &report)) {
-      return DeadlineError();
-    }
-
-    if ((store.AuxOf(head)[lay_.flag_word_] & 1) != 0) {
-      // This state was created cyclic; materialize the cycle only now,
-      // when it is actually reported (or probed for completability).
-      std::vector<NodeId> cycle = FindCycle(lay_.ArcsDigraph(store.KeyOf(head)));
-      Schedule sched = store.PathFromRoot(head);
-      if (!require_complete_) {
-        report.holds = false;
-        report.violation = SafetyViolation{
-            std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
-        report.states_interned = store.size();
-        FillMemoryStats(store, &report);
-        return report;
-      }
-      auto completion =
-          space_.FindCompletion(lay_.ExecOf(store.KeyOf(head)),
-                                options_.max_states);
-      if (!completion.ok()) return completion.status();
-      if (completion->has_value()) {
-        sched.insert(sched.end(), (*completion)->begin(),
-                     (*completion)->end());
-        report.holds = false;
-        report.violation = SafetyViolation{
-            std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
-        report.states_interned = store.size();
-        FillMemoryStats(store, &report);
-        return report;
-      }
-      // Not completable: prune the subtree (descendants inherit the cycle).
-      continue;
-    }
-
-    moves.clear();
-    space_.ExpandInto(store.AuxOf(head), &moves);
-    for (GlobalNode g : moves) {
-      // Exec part + expansion cache update in O(successors of g).
-      space_.ApplyInto(store.KeyOf(head), store.AuxOf(head), g,
-                       key_buf.data(), aux_buf.data());
-      std::memcpy(lay_.Arcs(key_buf.data()), lay_.Arcs(store.KeyOf(head)),
-                  lay_.arc_words_ * sizeof(uint64_t));
-      aux_buf[lay_.flag_word_] = 0;
-      bool skip_cycle_test = false;
-      if (delta >= 0 && g.txn != delta) {
-        skip_cycle_test = true;
-        const uint64_t* parent_key = store.KeyOf(head);
-        for (int w = 0; w < delta_cnt; ++w) {
-          if (parent_key[delta_off + w] != 0) {
-            skip_cycle_test = false;
-            break;
-          }
-        }
-      }
-      if (skip_cycle_test) {
-        // Child stays delta-idle, hence acyclic by the gate's
-        // precondition; the arcs must still accrue.
-        ApplyLockArcs(space_, store.KeyOf(head), g, lay_.row_words_,
-                      lay_.Arcs(key_buf.data()));
-        ++report.delta_skipped_tests;
-      } else if (ApplyLockArcsAndTestCycle(space_, store.KeyOf(head), g,
-                                           lay_.row_words_,
-                                           lay_.Arcs(key_buf.data()), reach_,
-                                           frontier_)) {
-        aux_buf[lay_.flag_word_] |= 1;
-      }
-
-      StateStore::InternResult r = store.Intern(key_buf.data(), head, g);
-      if (r.inserted) {
-        std::memcpy(store.MutableAuxOf(r.id), aux_buf.data(),
-                    lay_.aux_words_ * sizeof(uint64_t));
-      }
-    }
-  }
-
-  report.holds = true;
-  report.states_interned = store.size();
-  FillMemoryStats(store, &report);
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Parallel sharded engine (DESIGN.md §7).
-//
-// Same state encoding and incremental cycle test as LemmaSearchIncremental
-// — key [exec words | arc rows], cyclicity decided once at creation and
-// carried in the aux flag word — but driven as a level-synchronous BFS
-// over a ShardedStateStore. Because a FIFO BFS pops in id order, each
-// level is handled in serial-equivalent phases:
-//
-//   1. Flagged scan (serial, one bit per state): cyclic states in id
-//      order. For safe+DF the first one is the violation. For pure safety
-//      each runs FindCompletion exactly as the serial pop would —
-//      completable reports, uncompletable prunes — with the pop-budget
-//      guard interleaved at the flagged state's id.
-//   2. Expand (parallel, work-stealing chunks): acyclic states stage
-//      their children — exec/aux via ApplyInto, arcs copied from the
-//      parent plus the Lock arcs of the move, flag from the
-//      one-bitset-BFS self-reachability test (all per-worker scratch).
-//   3. Commit: per-shard parallel dedup, then the staging-order rank
-//      assigns serial-identical dense ids.
-class LemmaSearchParallel {
- public:
-  LemmaSearchParallel(const TransactionSystem& sys,
-                      const SafetyCheckOptions& options,
-                      bool require_complete)
-      : options_(options),
-        require_complete_(require_complete),
-        space_(&sys),
-        lay_(space_) {}
-
-  Result<SafetyReport> Run();
-
- private:
-  const SafetyCheckOptions& options_;
-  const bool require_complete_;
-  StateSpace space_;
-  const LemmaKeyLayout lay_;
-};
-
-Result<SafetyReport> LemmaSearchParallel::Run() {
-  SafetyReport report;
-  ThreadPool pool(options_.search_threads);
-  ShardedStateStore store(lay_.key_words_, lay_.aux_words_,
-                          /*num_shards=*/4 * pool.threads(), options_.store);
-  const bool compact =
-      options_.store.encoding == StoreOptions::KeyEncoding::kCompact;
-  constexpr size_t kChunkStates = 64;
-  FrontierStager stager(&store, &pool, options_.store.mem_budget_mb << 20,
-                        kChunkStates);
-
-  {
-    std::vector<uint64_t> key_buf(lay_.key_words_, 0);
-    std::vector<uint64_t> aux_buf(lay_.aux_words_, 0);
-    space_.InitRoot(key_buf.data(), aux_buf.data());
-    uint32_t root = store.InternRoot(key_buf.data());
-    std::memcpy(store.MutableAuxOf(root), aux_buf.data(),
-                lay_.aux_words_ * sizeof(uint64_t));
-  }
-
-  struct WorkerScratch {
-    std::vector<uint64_t> key;
-    std::vector<uint64_t> aux;
+  struct Scratch {
     std::vector<uint64_t> reach;
     std::vector<uint64_t> frontier;
-    std::vector<GlobalNode> moves;
-    ShardedStateStore::KeyDecodeCache decode;
+    uint64_t delta_skipped = 0;
   };
-  std::vector<WorkerScratch> scratch(pool.threads());
-  for (WorkerScratch& s : scratch) {
-    s.key.resize(lay_.key_words_);
-    s.aux.resize(lay_.aux_words_);
+  static constexpr bool kCreationFlags = true;
+
+  LemmaPolicy(const StateSpace& space, const LemmaKeyLayout& lay,
+              bool require_complete, int delta_txn, uint64_t max_states)
+      : space_(space),
+        lay_(lay),
+        require_complete_(require_complete),
+        delta_(delta_txn),
+        delta_off_(delta_txn >= 0 ? space.txn_word_offset(delta_txn) : 0),
+        delta_cnt_(delta_txn >= 0 ? space.txn_word_count(delta_txn) : 0),
+        max_states_(max_states) {}
+
+  int key_words() const { return lay_.key_words_; }
+  int aux_words() const { return lay_.aux_words_; }
+  Scratch NewScratch() const {
+    Scratch s;
     s.reach.resize(lay_.row_words_);
     s.frontier.resize(lay_.row_words_);
-    s.moves.reserve(64);
-  }
-  ShardedStateStore::KeyDecodeCache decode;  // Phase-1 (serial) cache.
-
-  // In-level deadline machinery: a per-level check alone lets one
-  // oversized BFS level outrun the budget by that level's whole
-  // expansion time, so workers also poll the clock once per chunk and
-  // raise `deadline_hit` for everyone.
-  const bool has_deadline =
-      options_.deadline != std::chrono::steady_clock::time_point{};
-  std::atomic<bool> deadline_hit{false};
-  std::atomic<uint64_t> worker_polls{0};
-  auto chunk_expired = [&] {
-    if (!has_deadline) return false;
-    if (deadline_hit.load(std::memory_order_relaxed)) return true;
-    worker_polls.fetch_add(1, std::memory_order_relaxed);
-    if (std::chrono::steady_clock::now() >= options_.deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  size_t level_begin = 0;
-  while (level_begin < store.size()) {
-    if (PollDeadline(options_, &report)) return DeadlineError();
-    const size_t level_end = store.size();
-    const size_t level_size = level_end - level_begin;
-
-    // Phase 1: flagged (cyclic) states, in id order. Mirrors the serial
-    // pop loop: the budget check precedes the flag handling at each id.
-    for (size_t i = 0; i < level_size; ++i) {
-      const uint32_t id = static_cast<uint32_t>(level_begin + i);
-      if (i % kDeadlineStride == kDeadlineStride - 1 &&
-          PollDeadline(options_, &report)) {
-        return DeadlineError();
-      }
-      if ((store.AuxOf(id)[lay_.flag_word_] & 1) == 0) continue;
-      if (options_.max_states != 0 &&
-          static_cast<uint64_t>(id) + 1 > options_.max_states) {
-        return Status::ResourceExhausted(StrFormat(
-            "safety check exceeded %llu states",
-            static_cast<unsigned long long>(options_.max_states)));
-      }
-      std::vector<NodeId> cycle =
-          FindCycle(lay_.ArcsDigraph(store.KeyView(id, &decode)));
-      Schedule sched = store.PathFromRoot(id);
-      if (!require_complete_) {
-        report.states_visited = static_cast<uint64_t>(id) + 1;
-        report.holds = false;
-        report.violation = SafetyViolation{
-            std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
-        report.states_interned = store.size();
-        FillMemoryStats(store, stager, &report);
-        return report;
-      }
-      auto completion = space_.FindCompletion(
-          lay_.ExecOf(store.KeyView(id, &decode)), options_.max_states);
-      if (!completion.ok()) return completion.status();
-      if (completion->has_value()) {
-        sched.insert(sched.end(), (*completion)->begin(),
-                     (*completion)->end());
-        report.states_visited = static_cast<uint64_t>(id) + 1;
-        report.holds = false;
-        report.violation = SafetyViolation{
-            std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
-        report.states_interned = store.size();
-        FillMemoryStats(store, stager, &report);
-        return report;
-      }
-      // Uncompletable: pruned, like the serial `continue`.
-    }
-    if (options_.max_states != 0 && level_end > options_.max_states) {
-      return Status::ResourceExhausted(StrFormat(
-          "safety check exceeded %llu states",
-          static_cast<unsigned long long>(options_.max_states)));
-    }
-
-    // Phase 2: expand the acyclic states of the level, in bounded
-    // windows; between windows the stager may spill the staged chunks to
-    // disk (no-op without --mem-budget-mb, where the single window spans
-    // the level).
-    size_t done = 0;
-    while (done < level_size) {
-      const size_t wcount =
-          std::min(stager.window_states(), level_size - done);
-      ShardedStateStore::Staging* window = stager.PrepareWindow(wcount);
-      const size_t wbase = done;
-
-      pool.ParallelFor(
-          wcount, kChunkStates,
-          [&](size_t begin, size_t end, int worker) {
-            if (chunk_expired()) return;  // Level aborts below.
-            WorkerScratch& ws = scratch[worker];
-            ShardedStateStore::Staging& staging =
-                window[begin / kChunkStates];
-            for (size_t i = begin; i < end; ++i) {
-              const uint32_t id =
-                  static_cast<uint32_t>(level_begin + wbase + i);
-              if ((store.AuxOf(id)[lay_.flag_word_] & 1) != 0) {
-                continue;  // Pruned.
-              }
-              const uint64_t* key = store.KeyView(id, &ws.decode);
-              ws.moves.clear();
-              space_.ExpandInto(store.AuxOf(id), &ws.moves);
-              for (GlobalNode g : ws.moves) {
-                space_.ApplyInto(key, store.AuxOf(id), g, ws.key.data(),
-                                 ws.aux.data());
-                std::memcpy(lay_.Arcs(ws.key.data()), lay_.Arcs(key),
-                            lay_.arc_words_ * sizeof(uint64_t));
-                ws.aux[lay_.flag_word_] = 0;
-                if (ApplyLockArcsAndTestCycle(space_, key, g,
-                                              lay_.row_words_,
-                                              lay_.Arcs(ws.key.data()),
-                                              ws.reach, ws.frontier)) {
-                  ws.aux[lay_.flag_word_] |= 1;
-                }
-                store.Stage(&staging, ws.key.data(), ws.aux.data(), id, g,
-                            key);
-              }
-            }
-          });
-
-      done += wcount;
-      if (!stager.EndWindow()) {
-        return Status::Internal("frontier spill write failed");
-      }
-    }
-    report.deadline_polls +=
-        worker_polls.exchange(0, std::memory_order_relaxed);
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return DeadlineError();  // A partial level is never committed.
-    }
-
-    // Phase 3: deterministic commit (replayed from disk if spilled).
-    size_t fresh = 0;
-    if (!stager.Commit(/*dedupe=*/true, &fresh)) {
-      return Status::Internal("frontier spill read-back failed");
-    }
-    // Hash compaction keeps only the frontier's key/aux words resident;
-    // everything below this level has been fully expanded.
-    if (compact) store.RetireExpanded();
-    level_begin = level_end;
+    return s;
   }
 
-  report.states_visited = store.size();
-  report.states_interned = store.size();
-  report.holds = true;
-  FillMemoryStats(store, stager, &report);
-  return report;
-}
+  /// The empty state: no arcs, not cyclic (the buffers come zeroed).
+  void InitRoot(uint64_t* key, uint64_t* aux) const {
+    space_.InitRoot(key, aux);
+  }
 
-// ---------------------------------------------------------------------------
-// Reduced engine (DESIGN.md §8): persistent-move pruning + orbit
-// canonicalization over the extended (state, arc-set) space, on the
-// level-synchronous sharded substrate. Both reductions preserve the
-// reachability of terminal extended states, and a cyclic arc set
-// persists to every descendant, so the Lemma 1 verdicts survive (§8.4).
-// The canonical permutation sorts orbit blocks by exec content and
-// permutes the arc matrix rows/columns along; exec-block ties are left
-// in place (stable sort), which merely merges fewer states — every merge
-// is through a genuine system automorphism.
-// ---------------------------------------------------------------------------
+  bool Flagged(const uint64_t* aux) const {
+    return (aux[lay_.flag_word_] & 1) != 0;
+  }
 
-class LemmaSearchReduced {
- public:
-  LemmaSearchReduced(const TransactionSystem& sys,
-                     const SafetyCheckOptions& options, bool require_complete)
-      : options_(options),
-        require_complete_(require_complete),
-        space_(&sys),
-        lay_(space_),
-        orbits_(sys),
-        canon_(&space_, &orbits_, lay_.row_words_) {}
+  /// Decides a cyclic state: safe+DF reports it; pure safety reports it
+  /// only if it can be completed (arc sets only grow, so the completed
+  /// schedule is cyclic too) and prunes it otherwise — no descendant can
+  /// then reach a complete schedule, and all inherit the cycle.
+  /// Completability is permutation-invariant, so under kReduced it is
+  /// probed on the representative.
+  Result<bool> Confirm(const uint64_t* key) {
+    if (!require_complete_) return true;
+    WYDB_ASSIGN_OR_RETURN(completion_,
+                          space_.FindCompletion(lay_.ExecOf(key), max_states_));
+    return completion_.has_value();
+  }
 
-  Result<SafetyReport> Run();
+  /// Exec part + expansion cache in O(successors of g), then the parent's
+  /// arcs plus the Lock arcs of `g`, and the child's cycle flag.
+  void MakeChild(Scratch& s, const uint64_t* key, const uint64_t* aux,
+                 GlobalNode g, uint64_t* child_key,
+                 uint64_t* child_aux) const {
+    space_.ApplyInto(key, aux, g, child_key, child_aux);
+    std::memcpy(lay_.Arcs(child_key), lay_.Arcs(key),
+                lay_.arc_words_ * sizeof(uint64_t));
+    child_aux[lay_.flag_word_] = 0;
+    if (g.txn != delta_ && DeltaIdle(key)) {
+      // Delta gate (docs/SERVE.md): with the system minus `delta_` known
+      // safe+DF, no reachable state with `delta_` idle is cyclic, so the
+      // child of a delta-idle parent by a non-delta move skips the cycle
+      // test. The arcs must still accrue.
+      ApplyLockArcs(space_, key, g, lay_.row_words_, lay_.Arcs(child_key));
+      ++s.delta_skipped;
+    } else if (ApplyLockArcsAndTestCycle(space_, key, g, lay_.row_words_,
+                                         lay_.Arcs(child_key), s.reach,
+                                         s.frontier)) {
+      child_aux[lay_.flag_word_] |= 1;
+    }
+  }
+
+  /// The completion found by the last reporting Confirm (pure safety).
+  const Schedule& completion() const { return *completion_; }
 
  private:
-  const SafetyCheckOptions& options_;
+  /// True when the gate is on and `delta_` has executed nothing in `key`.
+  bool DeltaIdle(const uint64_t* key) const {
+    if (delta_ < 0) return false;
+    for (int w = 0; w < delta_cnt_; ++w) {
+      if (key[delta_off_ + w] != 0) return false;
+    }
+    return true;
+  }
+
+  const StateSpace& space_;
+  const LemmaKeyLayout& lay_;
   const bool require_complete_;
-  StateSpace space_;
-  const LemmaKeyLayout lay_;
-  const TransactionOrbits orbits_;
-  const OrbitCanonicalizer canon_;
+  const int delta_;
+  const int delta_off_;
+  const int delta_cnt_;
+  const uint64_t max_states_;
+  std::optional<Schedule> completion_;
 };
 
-Result<SafetyReport> LemmaSearchReduced::Run() {
-  SafetyReport report;
-  ThreadPool pool(options_.search_threads);
-  // kCompact is rejected before dispatch (make_violation and the replay
-  // read ancestor keys); kDelta + spill compose with the reduction.
-  ShardedStateStore store(lay_.key_words_, lay_.aux_words_,
-                          /*num_shards=*/4 * pool.threads(), options_.store);
-  constexpr size_t kChunkStates = 64;
-  FrontierStager stager(&store, &pool, options_.store.mem_budget_mb << 20,
-                        kChunkStates);
-  if (orbits_.HasNontrivialOrbit()) store.set_canonicalizer(&canon_);
-
-  {
-    std::vector<uint64_t> key_buf(lay_.key_words_, 0);
-    std::vector<uint64_t> aux_buf(lay_.aux_words_, 0);
-    space_.InitRoot(key_buf.data(), aux_buf.data());
-    uint32_t root = store.InternRoot(key_buf.data());
-    std::memcpy(store.MutableAuxOf(root), aux_buf.data(),
-                lay_.aux_words_ * sizeof(uint64_t));
+// Builds the concrete violation for a flagged representative of the
+// reduced search: replay the path via the shared permutation composition
+// (core/symmetry, DESIGN.md §8.3), permute the stored arc matrix through
+// the final tau, and report a cycle of the *concrete* digraph.
+SafetyViolation MakeReducedViolation(const StateSpace& space,
+                                     const LemmaKeyLayout& lay,
+                                     const OrbitCanonicalizer& canon,
+                                     bool canonical_active,
+                                     const ShardedStateStore& store,
+                                     uint32_t id, const Schedule& extra) {
+  Schedule sched;
+  std::vector<int> tau;
+  ReplayReducedPath(
+      store, id, canon, canonical_active, space, lay.key_words_,
+      [&](const uint64_t* parent_key, GlobalNode g, uint64_t* child_key) {
+        // Pre-canonical child = parent representative + move: the exec
+        // bit and the §5 lock arcs, exactly as the search staged it.
+        std::memcpy(child_key, parent_key, lay.key_words_ * sizeof(uint64_t));
+        const int bit = space.txn_word_offset(g.txn) * 64 + g.node;
+        child_key[bit / 64] |= 1ULL << (bit % 64);
+        ApplyLockArcs(space, parent_key, g, lay.row_words_,
+                      lay.Arcs(child_key));
+      },
+      &sched, &tau);
+  for (GlobalNode g : extra) sched.push_back(GlobalNode{tau[g.txn], g.node});
+  Digraph concrete(lay.n_);
+  ShardedStateStore::KeyDecodeCache decode;
+  const uint64_t* arcs = lay.Arcs(store.KeyView(id, &decode));
+  for (int i = 0; i < lay.n_; ++i) {
+    for (int j = 0; j < lay.n_; ++j) {
+      if (i != j &&
+          ((arcs[i * lay.row_words_ + j / 64] >> (j % 64)) & 1) != 0) {
+        concrete.AddArc(tau[i], tau[j]);
+      }
+    }
   }
-
-  // Builds the concrete violation for a flagged representative: replay
-  // the path via the shared permutation composition (core/symmetry,
-  // DESIGN.md §8.3), permute the stored arc matrix through the final
-  // tau, and report a cycle of the *concrete* digraph.
-  auto make_violation = [&](uint32_t id,
-                            const Schedule& extra) -> SafetyViolation {
-    Schedule sched;
-    std::vector<int> tau;
-    ReplayReducedPath(
-        store, id, canon_, orbits_.HasNontrivialOrbit(), space_,
-        lay_.key_words_,
-        [&](const uint64_t* parent_key, GlobalNode g, uint64_t* child_key) {
-          // Pre-canonical child = parent representative + move: the exec
-          // bit and the §5 lock arcs, exactly as the search staged it.
-          std::memcpy(child_key, parent_key,
-                      lay_.key_words_ * sizeof(uint64_t));
-          const int bit = space_.txn_word_offset(g.txn) * 64 + g.node;
-          child_key[bit / 64] |= 1ULL << (bit % 64);
-          ApplyLockArcs(space_, parent_key, g, lay_.row_words_,
-                        lay_.Arcs(child_key));
-        },
-        &sched, &tau);
-    for (GlobalNode g : extra) sched.push_back(GlobalNode{tau[g.txn], g.node});
-    Digraph concrete(lay_.n_);
-    ShardedStateStore::KeyDecodeCache vdecode;
-    const uint64_t* arcs = lay_.Arcs(store.KeyView(id, &vdecode));
-    for (int i = 0; i < lay_.n_; ++i) {
-      for (int j = 0; j < lay_.n_; ++j) {
-        if (i != j &&
-            ((arcs[i * lay_.row_words_ + j / 64] >> (j % 64)) & 1) != 0) {
-          concrete.AddArc(tau[i], tau[j]);
-        }
-      }
-    }
-    std::vector<NodeId> cycle = FindCycle(concrete);
-    return SafetyViolation{std::move(sched),
-                           std::vector<int>(cycle.begin(), cycle.end())};
-  };
-
-  struct WorkerScratch {
-    std::vector<uint64_t> key;
-    std::vector<uint64_t> aux;
-    std::vector<uint64_t> reach;
-    std::vector<uint64_t> frontier;
-    std::vector<GlobalNode> moves;
-    ShardedStateStore::KeyDecodeCache decode;
-    uint64_t pruned = 0;
-  };
-  std::vector<WorkerScratch> scratch(pool.threads());
-  for (WorkerScratch& s : scratch) {
-    s.key.resize(lay_.key_words_);
-    s.aux.resize(lay_.aux_words_);
-    s.reach.resize(lay_.row_words_);
-    s.frontier.resize(lay_.row_words_);
-    s.moves.reserve(64);
-  }
-
-  auto sum_pruned = [&] {
-    uint64_t total = 0;
-    for (const WorkerScratch& s : scratch) total += s.pruned;
-    return total;
-  };
-  ShardedStateStore::KeyDecodeCache decode;  // Phase-1 (serial) cache.
-
-  // In-level deadline machinery, as in LemmaSearchParallel: workers
-  // poll once per chunk so one oversized level cannot outrun the budget.
-  const bool has_deadline =
-      options_.deadline != std::chrono::steady_clock::time_point{};
-  std::atomic<bool> deadline_hit{false};
-  std::atomic<uint64_t> worker_polls{0};
-  auto chunk_expired = [&] {
-    if (!has_deadline) return false;
-    if (deadline_hit.load(std::memory_order_relaxed)) return true;
-    worker_polls.fetch_add(1, std::memory_order_relaxed);
-    if (std::chrono::steady_clock::now() >= options_.deadline) {
-      deadline_hit.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  size_t level_begin = 0;
-  while (level_begin < store.size()) {
-    if (PollDeadline(options_, &report)) return DeadlineError();
-    const size_t level_end = store.size();
-    const size_t level_size = level_end - level_begin;
-
-    // Phase 1: flagged (cyclic) representatives, in id order. A cyclic
-    // state reports (safe+DF), or reports-if-completable and prunes
-    // otherwise (pure safety) — completability is permutation-invariant,
-    // so it is probed on the representative and only a reported
-    // violation pays for path reconstruction.
-    for (size_t i = 0; i < level_size; ++i) {
-      const uint32_t id = static_cast<uint32_t>(level_begin + i);
-      if (i % kDeadlineStride == kDeadlineStride - 1 &&
-          PollDeadline(options_, &report)) {
-        return DeadlineError();
-      }
-      if ((store.AuxOf(id)[lay_.flag_word_] & 1) == 0) continue;
-      if (options_.max_states != 0 &&
-          static_cast<uint64_t>(id) + 1 > options_.max_states) {
-        return Status::ResourceExhausted(StrFormat(
-            "safety check exceeded %llu states",
-            static_cast<unsigned long long>(options_.max_states)));
-      }
-      if (!require_complete_) {
-        report.states_visited = static_cast<uint64_t>(id) + 1;
-        report.states_interned = store.size();
-        report.sleep_set_pruned = sum_pruned();
-        report.holds = false;
-        report.violation = make_violation(id, Schedule{});
-        FillMemoryStats(store, stager, &report);
-        return report;
-      }
-      auto completion = space_.FindCompletion(
-          lay_.ExecOf(store.KeyView(id, &decode)), options_.max_states);
-      if (!completion.ok()) return completion.status();
-      if (completion->has_value()) {
-        report.states_visited = static_cast<uint64_t>(id) + 1;
-        report.states_interned = store.size();
-        report.sleep_set_pruned = sum_pruned();
-        report.holds = false;
-        report.violation = make_violation(id, **completion);
-        FillMemoryStats(store, stager, &report);
-        return report;
-      }
-      // Uncompletable: no descendant reaches a complete schedule, and
-      // they all inherit the cycle — prune the subtree.
-    }
-    if (options_.max_states != 0 && level_end > options_.max_states) {
-      return Status::ResourceExhausted(StrFormat(
-          "safety check exceeded %llu states",
-          static_cast<unsigned long long>(options_.max_states)));
-    }
-
-    // Phase 2: reduced expansion of the acyclic representatives, in
-    // bounded windows (spilled between windows under --mem-budget-mb).
-    size_t done = 0;
-    while (done < level_size) {
-      const size_t wcount =
-          std::min(stager.window_states(), level_size - done);
-      ShardedStateStore::Staging* window = stager.PrepareWindow(wcount);
-      const size_t wbase = done;
-
-      pool.ParallelFor(
-          wcount, kChunkStates,
-          [&](size_t begin, size_t end, int worker) {
-            if (chunk_expired()) return;  // Level aborts below.
-            WorkerScratch& ws = scratch[worker];
-            ShardedStateStore::Staging& staging =
-                window[begin / kChunkStates];
-            for (size_t i = begin; i < end; ++i) {
-              const uint32_t id =
-                  static_cast<uint32_t>(level_begin + wbase + i);
-              if ((store.AuxOf(id)[lay_.flag_word_] & 1) != 0) continue;
-              const uint64_t* key = store.KeyView(id, &ws.decode);
-              ws.moves.clear();
-              ws.pruned +=
-                  space_.ExpandReducedInto(key, store.AuxOf(id), &ws.moves);
-              for (GlobalNode g : ws.moves) {
-                space_.ApplyInto(key, store.AuxOf(id), g, ws.key.data(),
-                                 ws.aux.data());
-                std::memcpy(lay_.Arcs(ws.key.data()), lay_.Arcs(key),
-                            lay_.arc_words_ * sizeof(uint64_t));
-                ws.aux[lay_.flag_word_] = 0;
-                if (ApplyLockArcsAndTestCycle(space_, key, g,
-                                              lay_.row_words_,
-                                              lay_.Arcs(ws.key.data()),
-                                              ws.reach, ws.frontier)) {
-                  ws.aux[lay_.flag_word_] |= 1;
-                }
-                // The parent's stored key is already canonical, so the
-                // xor-delta record relates two canonical representatives.
-                store.StageCanonical(&staging, ws.key.data(), ws.aux.data(),
-                                     id, g, key);
-              }
-            }
-          });
-
-      done += wcount;
-      if (!stager.EndWindow()) {
-        return Status::Internal("frontier spill write failed");
-      }
-    }
-    report.deadline_polls +=
-        worker_polls.exchange(0, std::memory_order_relaxed);
-    if (deadline_hit.load(std::memory_order_relaxed)) {
-      return DeadlineError();  // A partial level is never committed.
-    }
-
-    // Phase 3: deterministic commit (canonical keys fed the shard hash;
-    // replayed from disk if spilled).
-    size_t fresh = 0;
-    if (!stager.Commit(/*dedupe=*/true, &fresh)) {
-      return Status::Internal("frontier spill read-back failed");
-    }
-    level_begin = level_end;
-  }
-
-  report.states_visited = store.size();
-  report.states_interned = store.size();
-  report.sleep_set_pruned = sum_pruned();
-  report.holds = true;
-  FillMemoryStats(store, stager, &report);
-  return report;
+  std::vector<NodeId> cycle = FindCycle(concrete);
+  return SafetyViolation{std::move(sched),
+                         std::vector<int>(cycle.begin(), cycle.end())};
 }
 
 Result<SafetyReport> RunSearch(const TransactionSystem& sys,
                                const SafetyCheckOptions& options,
                                bool require_complete) {
-  WYDB_RETURN_IF_ERROR(ValidateStoreOptions(options, options.engine));
+  WYDB_RETURN_IF_ERROR(ValidateStoreOptions(options.store, options.engine));
   if (options.delta_txn >= 0) {
     if (options.delta_txn >= sys.num_transactions()) {
       return Status::InvalidArgument(
           StrFormat("delta_txn %d out of range (system has %d transactions)",
                     options.delta_txn, sys.num_transactions()));
     }
-    if (options.engine != SearchEngine::kIncremental) {
+    if (options.engine == SearchEngine::kReduced) {
+      // Canonicalization permutes the transaction blocks, so "the delta
+      // transaction is idle" is not a property of a stored state.
       return Status::InvalidArgument(
-          "delta_txn requires the incremental engine");
+          "delta_txn requires full expansion (the incremental or parallel "
+          "engine)");
     }
     if (require_complete) {
       return Status::InvalidArgument(
           "delta_txn applies to the safe+deadlock-free check only");
     }
   }
-  if (options.engine == SearchEngine::kNaiveReference) {
-    LemmaSearchNaive search(sys, options, require_complete);
-    return search.Run();
-  }
-  if (options.engine == SearchEngine::kParallelSharded) {
-    LemmaSearchParallel search(sys, options, require_complete);
-    return search.Run();
-  }
+  StateSpace space(&sys);
+  const LemmaKeyLayout lay(space);
+  LemmaPolicy policy(space, lay, require_complete, options.delta_txn,
+                     options.max_states);
+  const LevelSearchLimits limits = LimitsOf(options, "safety");
+
+  SafetyReport report;
+  const Schedule none;
   if (options.engine == SearchEngine::kReduced) {
-    LemmaSearchReduced search(sys, options, require_complete);
-    return search.Run();
+    // Persistent-move pruning plus orbit canonicalization over the
+    // extended (state, arc-set) space (DESIGN.md §8). Both reductions
+    // preserve the reachability of terminal extended states, and a cyclic
+    // arc set persists to every descendant, so the Lemma 1 verdicts
+    // survive (§8.4). The canonical permutation sorts orbit blocks by
+    // exec content and permutes the arc matrix rows/columns along.
+    TransactionOrbits orbits(sys);
+    OrbitCanonicalizer canon(&space, &orbits, lay.row_words_);
+    const bool canonical = orbits.HasNontrivialOrbit();
+    LevelSearch<Expansion::kReduced, LemmaPolicy> search(
+        limits, space, &policy, canonical ? &canon : nullptr);
+    WYDB_RETURN_IF_ERROR(search.Run());
+    search.FillReport(&report);
+    if (search.witness() != LevelSearchBase::kNoWitness) {
+      report.violation = MakeReducedViolation(
+          space, lay, canon, canonical, search.store(), search.witness(),
+          require_complete ? policy.completion() : none);
+    }
+  } else {
+    LevelSearch<Expansion::kFull, LemmaPolicy> search(limits, space, &policy);
+    WYDB_RETURN_IF_ERROR(search.Run());
+    search.FillReport(&report);
+    search.ForEachScratch([&](const LemmaPolicy::Scratch& s) {
+      report.delta_skipped_tests += s.delta_skipped;
+    });
+    if (search.witness() != LevelSearchBase::kNoWitness) {
+      // Materialize the cycle only now that it is reported.
+      ShardedStateStore::KeyDecodeCache decode;
+      std::vector<NodeId> cycle = FindCycle(lay.ArcsDigraph(
+          search.store().KeyView(search.witness(), &decode)));
+      Schedule sched = search.store().PathFromRoot(search.witness());
+      if (require_complete) {
+        sched.insert(sched.end(), policy.completion().begin(),
+                     policy.completion().end());
+      }
+      report.violation = SafetyViolation{
+          std::move(sched), std::vector<int>(cycle.begin(), cycle.end())};
+    }
   }
-  LemmaSearchIncremental search(sys, options, require_complete);
-  return search.Run();
+  report.holds = !report.violation.has_value();
+  return report;
 }
 
 }  // namespace

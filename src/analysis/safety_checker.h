@@ -27,30 +27,31 @@ namespace wydb {
 
 struct SafetyCheckOptions {
   uint64_t max_states = 5'000'000;  ///< 0 = unbounded.
-  /// Expansion engine; kNaiveReference is the retained seed implementation
-  /// used for cross-validation and benchmarking.
+  /// Search engine (analysis/search_engine.h).
   SearchEngine engine = SearchEngine::kIncremental;
-  /// Worker threads for kParallelSharded (ignored by the serial engines).
-  /// 0 = the WYDB_SEARCH_THREADS environment variable when set, else the
-  /// hardware concurrency. Results are identical for every value.
+  /// Worker threads for kParallelSharded and kReduced (kIncremental runs
+  /// one). 0 = the WYDB_SEARCH_THREADS environment variable when set,
+  /// else the hardware concurrency. Results are identical for every value.
   int search_threads = 0;
   /// Store memory mode (DESIGN.md §9): key encoding + spill watermark.
-  /// Non-default values require the kParallelSharded or kReduced engine
-  /// (kCompact: kParallelSharded only — reduced witness replay reads
-  /// ancestor keys, which compaction discards).
+  /// Every engine takes every mode except kCompact under kReduced
+  /// (reduced witness replay reads ancestor keys, which compaction
+  /// discards).
   StoreOptions store;
   /// Wall-clock abort point; default-constructed (epoch) = no deadline.
-  /// Overruns return ResourceExhausted, like max_states. Checked every
-  /// ~2048 popped states by the serial engines and once per BFS level by
-  /// the level-synchronous ones.
+  /// Overruns return ResourceExhausted, like max_states. Checked once per
+  /// level, once per worker chunk of 64 states, and every 2048 states of
+  /// the serial cycle-flag scan.
   std::chrono::steady_clock::time_point deadline{};
   /// Incremental-recertification gate (docs/SERVE.md): when >= 0, names
   /// a transaction T such that the system minus T is already known safe
   /// and deadlock-free. Any reachable cyclic D(S') then has a step of T
   /// executed, so cycle tests are skipped (and their cost saved) for
   /// children of T-idle states reached by non-T moves. Sound ONLY under
-  /// that precondition; requires kIncremental and CheckSafeAndDeadlockFree
-  /// (rejected elsewhere). The verdict is bit-identical to a full run.
+  /// that precondition; requires full expansion (kIncremental or
+  /// kParallelSharded: kReduced permutes the transaction blocks) and
+  /// CheckSafeAndDeadlockFree (rejected elsewhere). The verdict is
+  /// bit-identical to a full run at every thread count.
   int delta_txn = -1;
 };
 
@@ -68,22 +69,23 @@ struct SafetyReport {
   uint64_t states_visited = 0;
   /// Distinct (state, arc-set) pairs held by the search store when the
   /// verdict was reached (orbit representatives only under kReduced) —
-  /// the memory-side cost metric behind `--stats`. Exact across engines
-  /// only when the property holds; on violation runs it depends on how
-  /// many children of the final level each engine interned first.
+  /// the memory-side cost metric behind `--stats`. The full reachable
+  /// count when the property holds; on violation runs it counts the
+  /// levels committed before the violation's level.
   uint64_t states_interned = 0;
   /// Expansions skipped by kReduced's persistent-move (sleep-set)
   /// pruning; 0 for the exhaustive engines.
   uint64_t sleep_set_pruned = 0;
   /// Cycle tests elided by the delta_txn gate; 0 unless delta_txn >= 0.
+  /// On violation runs it depends on how far the final level got.
   uint64_t delta_skipped_tests = 0;
-  /// Times the engine consulted the wall clock against `deadline`
+  /// Times the search consulted the wall clock against `deadline`
   /// (0 when no deadline was set): evidence that the budget was being
-  /// enforced, surfaced by `--stats` and the server's `stats` verb.
+  /// enforced, surfaced by `--stats` and the server's `stats` verb. The
+  /// count follows the polling cadence, so it depends on the thread count.
   uint64_t deadline_polls = 0;
   /// Memory-side cost metrics (--stats; DESIGN.md §9). Total store
   /// bytes, of which the key/aux/record arenas and the probe tables.
-  /// Zero for kNaiveReference (no instrumented store).
   uint64_t store_bytes = 0;
   uint64_t arena_bytes = 0;
   uint64_t probe_table_bytes = 0;

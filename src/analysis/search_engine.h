@@ -4,31 +4,27 @@
 
 namespace wydb {
 
-/// Which expansion engine backs an exact state-space search.
+/// Which configuration of the level-synchronous search (analysis/
+/// level_search.h, DESIGN.md §7) backs an exact check. Every engine runs
+/// the same driver over a ShardedStateStore; they differ in the expansion
+/// and the thread count only. Verdicts, witnesses and states_visited of
+/// kIncremental and kParallelSharded are bit-identical at every thread
+/// count; kReduced agrees on every verdict.
 enum class SearchEngine {
-  /// Interned StateStore states with incremental move generation and
-  /// (for the safety checker) incremental conflict-arc cycle detection.
+  /// Full expansion at one thread; the checker options' `search_threads`
+  /// is ignored.
   kIncremental,
-  /// The seed implementation: heap-copied states in hash containers, full
-  /// rescans per state. Retained as the cross-validation reference and as
-  /// the benchmark baseline; verdicts and states_visited counts are
-  /// bit-identical to kIncremental by construction (property-tested).
-  kNaiveReference,
-  /// Level-synchronous parallel BFS over a ShardedStateStore: expansion
-  /// and per-shard deduplication run on a work-stealing thread pool, and
-  /// fresh states get dense ids by a deterministic staging-order rank
-  /// (DESIGN.md §7). Verdicts, witnesses, and states_visited are
-  /// bit-identical to the serial engines for any thread or shard count;
-  /// the thread count comes from the checker options' `search_threads`.
+  /// Full expansion at `search_threads` workers: expansion and per-shard
+  /// deduplication run on a work-stealing thread pool, and fresh states
+  /// get dense ids by a deterministic staging-order rank.
   kParallelSharded,
-  /// Commutativity- and symmetry-reduced search (DESIGN.md §8): sleep-set
-  /// style persistent-move pruning (StateSpace::ExpandReducedInto) plus
-  /// transaction-orbit canonicalization of state keys (core/symmetry),
-  /// run on the same level-synchronous sharded substrate. Verdicts agree
-  /// with the exhaustive engines and every witness replays to a real
-  /// stuck/unsafe state, but states_visited counts the *reduced* space —
-  /// orders of magnitude smaller on symmetric workloads. Honors
-  /// `search_threads`; results are identical for every thread count.
+  /// Commutativity- and symmetry-reduced expansion (DESIGN.md §8) at
+  /// `search_threads` workers: sleep-set style persistent-move pruning
+  /// (StateSpace::ExpandReducedInto) plus transaction-orbit
+  /// canonicalization of state keys (core/symmetry). Every witness
+  /// replays to a real stuck/unsafe state, but states_visited counts the
+  /// *reduced* space — orders of magnitude smaller on symmetric
+  /// workloads. Results are identical for every thread count.
   kReduced,
 };
 

@@ -70,8 +70,7 @@ bool FrontierStager::SpillRetained() {
   return true;
 }
 
-bool FrontierStager::Commit(bool dedupe, size_t* fresh) {
-  *fresh = 0;
+bool FrontierStager::Commit() {
   if (spilled_chunks_ > 0) {
     // A spilling level spills every window, so nothing is retained in
     // RAM here and the file holds the whole level in chunk order.
@@ -87,7 +86,7 @@ bool FrontierStager::Commit(bool dedupe, size_t* fresh) {
       for (size_t c = 0; c < n; ++c) {
         if (!store_->ReadStaging(file_, &chunks_[c])) return false;
       }
-      *fresh += store_->CommitStaged(&chunks_, n, pool_, dedupe);
+      store_->CommitStaged(&chunks_, n, pool_);
       remaining -= n;
     }
     // Rewind for the next level; later writes overwrite in place.
@@ -96,7 +95,7 @@ bool FrontierStager::Commit(bool dedupe, size_t* fresh) {
     spilled_chunks_ = 0;
     spilling_ = false;
   } else if (chunks_used_ > 0) {
-    *fresh = store_->CommitStaged(&chunks_, chunks_used_, pool_, dedupe);
+    store_->CommitStaged(&chunks_, chunks_used_, pool_);
   }
   chunks_used_ = 0;
   window_first_ = 0;

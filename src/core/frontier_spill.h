@@ -2,12 +2,12 @@
 // (DESIGN.md §9.3): bounds peak RAM by a --mem-budget-mb watermark
 // without changing a single interned id.
 //
-// The parallel engines stage a level's children into per-chunk Staging
+// The search driver stages a level's children into per-chunk Staging
 // buffers and commit them in chunk order. CommitStaged composes — a
 // level committed as several sequential batches (in chunk order) yields
 // the same ids/parents/dedup decisions as one big commit — so the
 // staged chunks themselves are pure data that can round-trip through a
-// file. FrontierStager exploits that: the engine stages one bounded
+// file. FrontierStager exploits that: the driver stages one bounded
 // *window* of chunks at a time; after each window, if the store plus the
 // retained staging exceed the budget, every retained chunk is appended
 // to an anonymous spill file (plain fwrite of the staged records). At
@@ -62,9 +62,8 @@ class FrontierStager {
 
   /// Commits the whole level: spilled chunks first (read back in file
   /// order, committed in bounded batches), then the retained ones.
-  /// Resets the stager for the next level. `*fresh` gets the number of
-  /// freshly interned states. Returns false on I/O failure.
-  bool Commit(bool dedupe, size_t* fresh);
+  /// Resets the stager for the next level. Returns false on I/O failure.
+  bool Commit();
 
   /// Levels whose staging hit the spill file (the --stats counter).
   uint64_t spilled_levels() const { return spilled_levels_; }

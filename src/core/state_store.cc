@@ -176,9 +176,7 @@ uint32_t ShardedStateStore::InternRoot(const uint64_t* key) {
     std::memcpy(key_aux.data(), key, key_words_ * sizeof(uint64_t));
     Staging::Pending p{hash, 0, kNoId, -1, -1};
     local = AppendToShard(&shard, key_aux.data(), p);
-    if (options_.encoding == StoreOptions::KeyEncoding::kCompact) {
-      shard.hashes.push_back(hash);
-    }
+    shard.hashes.push_back(hash);
   }
   size_t pos = hash & shard.slot_mask;
   while (shard.slots[pos] != kNoId) pos = (pos + 1) & shard.slot_mask;
@@ -290,20 +288,6 @@ uint32_t ShardedStateStore::AppendDeltaToShard(Shard* shard,
 void ShardedStateStore::GrowShard(Shard* shard) {
   std::vector<uint32_t> next(shard->slots.size() * 2, kNoId);
   const size_t mask = next.size() - 1;
-  for (uint32_t local = 0; local < shard->parents.size(); ++local) {
-    const uint64_t* key =
-        shard->keys.data() + static_cast<size_t>(local) * key_words_;
-    size_t pos = HashWords(key, key_words_) & mask;
-    while (next[pos] != kNoId) pos = (pos + 1) & mask;
-    next[pos] = local;
-  }
-  shard->slots = std::move(next);
-  shard->slot_mask = mask;
-}
-
-void ShardedStateStore::GrowShardByHash(Shard* shard) {
-  std::vector<uint32_t> next(shard->slots.size() * 2, kNoId);
-  const size_t mask = next.size() - 1;
   for (uint32_t local = 0; local < shard->hashes.size(); ++local) {
     size_t pos = shard->hashes[local] & mask;
     while (next[pos] != kNoId) pos = (pos + 1) & mask;
@@ -396,10 +380,9 @@ bool ShardedStateStore::CommittedKeyEquals(uint32_t shard_idx,
 }
 
 size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
-                                       size_t num_chunks, ThreadPool* pool,
-                                       bool dedupe) {
+                                       size_t num_chunks, ThreadPool* pool) {
   if (options_.encoding == StoreOptions::KeyEncoding::kDelta) {
-    return CommitStagedDelta(chunks, num_chunks, pool, dedupe);
+    return CommitStagedDelta(chunks, num_chunks, pool);
   }
   const bool compact =
       options_.encoding == StoreOptions::KeyEncoding::kCompact;
@@ -440,51 +423,32 @@ size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
         for (size_t t = 0; t < pending.size(); ++t) {
           const Staging::Pending& p = pending[t];
           const uint64_t* key_aux = words.data() + t * kTupleWords;
-          if (dedupe) {
-            if ((shard.parents.size() + 1) * 2 > shard.slots.size()) {
-              if (compact) {
-                GrowShardByHash(&shard);
-              } else {
-                GrowShard(&shard);
-              }
-            }
-            size_t pos = p.hash & shard.slot_mask;
-            bool hit = false;
-            while (true) {
-              uint32_t local = shard.slots[pos];
-              if (local == kNoId) break;
-              if (compact) {
-                // Fingerprint identity: hash-equal is a (possibly
-                // colliding) duplicate.
-                if (shard.hashes[local] == p.hash) {
-                  hit = true;
-                  break;
-                }
-              } else {
-                const uint64_t* existing =
-                    shard.keys.data() +
-                    static_cast<size_t>(local - shard.frontier_base) *
-                        key_words_;
-                if (std::memcmp(existing, key_aux,
-                                key_words_ * sizeof(uint64_t)) == 0) {
-                  hit = true;
-                  break;
-                }
-              }
-              pos = (pos + 1) & shard.slot_mask;
-            }
-            if (hit) continue;
-            const uint32_t local = AppendToShard(&shard, key_aux, p);
-            if (compact) shard.hashes.push_back(p.hash);
-            shard.slots[pos] = local;
-            fresh_marks_[chunk_base[c] + p.ordinal] =
-                Pack(static_cast<uint32_t>(s), local);
-          } else {
-            const uint32_t local = AppendToShard(&shard, key_aux, p);
-            if (compact) shard.hashes.push_back(p.hash);
-            fresh_marks_[chunk_base[c] + p.ordinal] =
-                Pack(static_cast<uint32_t>(s), local);
+          if ((shard.parents.size() + 1) * 2 > shard.slots.size()) {
+            GrowShard(&shard);
           }
+          size_t pos = p.hash & shard.slot_mask;
+          bool hit = false;
+          while (true) {
+            uint32_t local = shard.slots[pos];
+            if (local == kNoId) break;
+            // Fingerprint identity in kCompact: hash-equal is a (possibly
+            // colliding) duplicate. kPlain confirms on the full key.
+            if (shard.hashes[local] == p.hash &&
+                (compact ||
+                 std::memcmp(shard.keys.data() +
+                                 static_cast<size_t>(local) * key_words_,
+                             key_aux, key_words_ * sizeof(uint64_t)) == 0)) {
+              hit = true;
+              break;
+            }
+            pos = (pos + 1) & shard.slot_mask;
+          }
+          if (hit) continue;
+          const uint32_t local = AppendToShard(&shard, key_aux, p);
+          shard.hashes.push_back(p.hash);
+          shard.slots[pos] = local;
+          fresh_marks_[chunk_base[c] + p.ordinal] =
+              Pack(static_cast<uint32_t>(s), local);
         }
       }
     }
@@ -508,7 +472,7 @@ size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
 
 size_t ShardedStateStore::CommitStagedDelta(std::vector<Staging>* chunks,
                                             size_t num_chunks,
-                                            ThreadPool* pool, bool dedupe) {
+                                            ThreadPool* pool) {
   size_t total = 0;
   std::vector<size_t> chunk_base(num_chunks);
   for (size_t c = 0; c < num_chunks; ++c) {
@@ -550,18 +514,8 @@ size_t ShardedStateStore::CommitStagedDelta(std::vector<Staging>* chunks,
           const Staging::Pending& p = pending[t];
           const uint64_t* key_aux = words.data() + t * kTupleWords;
           const uint32_t rec_len = lens[t];
-          if (!dedupe) {
-            shard.hashes.push_back(p.hash);
-            appends.push_back(PendingAppend{key_aux, rec, rec_len, p.parent,
-                                            p.move_txn, p.move_node});
-            fresh_marks_[chunk_base[c] + p.ordinal] = Pack(
-                static_cast<uint32_t>(s),
-                committed + static_cast<uint32_t>(appends.size()) - 1);
-            rec += rec_len;
-            continue;
-          }
           if ((shard.hashes.size() + 1) * 2 > shard.slots.size()) {
-            GrowShardByHash(&shard);
+            GrowShard(&shard);
           }
           size_t pos = p.hash & shard.slot_mask;
           bool hit = false;

@@ -186,11 +186,6 @@ class StateStore {
                                uint32_t parent = kNoId,
                                GlobalNode move = GlobalNode{-1, -1});
 
-  /// Appends without deduplication (memoization ablation); the hash table
-  /// is bypassed entirely. Do not mix with Intern on the same store.
-  uint32_t Append(const uint64_t* key, uint32_t parent = kNoId,
-                  GlobalNode move = GlobalNode{-1, -1});
-
   /// Lookup without insertion; kNoId if absent.
   uint32_t Find(const uint64_t* key) const;
 
@@ -242,6 +237,8 @@ class StateStore {
   };
 
   void Grow();
+  /// Appends `key` as a fresh id (the table insertion is the caller's).
+  uint32_t Append(const uint64_t* key, uint32_t parent, GlobalNode move);
   const uint64_t* KeyRaw(uint32_t id) const {
     return keys_.data() + static_cast<size_t>(id) * key_words_;
   }
@@ -261,12 +258,14 @@ class StateStore {
 };
 
 /// \brief Key-hash-sharded intern table with a deterministic batched
-/// commit: the substrate of the kParallelSharded search engine.
+/// commit: the store of the level-synchronous search driver
+/// (analysis/level_search.h) behind every exact-search engine.
 ///
 /// Global ids are dense and allocated in *staging order* — the order
 /// Stage() calls would reach a serial StateStore::Intern when chunks are
 /// filled in parent order — so verdicts, witnesses, and state counts of a
-/// level-synchronous parallel BFS match the serial engines bit for bit.
+/// level-synchronous BFS match a serial pop loop bit for bit at every
+/// thread count.
 ///
 /// Usage per BFS level:
 ///   1. Split the level's states into chunks (chunk c = states
@@ -451,14 +450,13 @@ class ShardedStateStore {
                       uint32_t parent, GlobalNode move,
                       const uint64_t* parent_key = nullptr) const;
 
-  /// Commits `num_chunks` staged chunks, in chunk order. With `dedupe`,
-  /// keys already present (in the store or earlier in the batch) are
-  /// dropped; without it every staged tuple becomes a fresh state (the
-  /// memoization ablation). Shard dedup runs on `pool` (may be null =
-  /// serial). Returns the number of fresh states; their ids are
-  /// [old size(), new size()), in staging order.
+  /// Commits `num_chunks` staged chunks, in chunk order. Keys already
+  /// present (in the store or earlier in the batch) are dropped. Shard
+  /// dedup runs on `pool` (may be null = serial). Returns the number of
+  /// fresh states; their ids are [old size(), new size()), in staging
+  /// order.
   size_t CommitStaged(std::vector<Staging>* chunks, size_t num_chunks,
-                      ThreadPool* pool, bool dedupe = true);
+                      ThreadPool* pool);
 
   /// kCompact only: drops the key/aux arena entries of every state below
   /// the first commit since the previous retire — i.e. retires the
@@ -498,9 +496,8 @@ class ShardedStateStore {
     std::vector<ParentLink> parents;  ///< One per local id, never retired.
     std::vector<uint32_t> slots;      ///< Open addressing -> local id.
     size_t slot_mask = 0;
-    /// kDelta/kCompact: full 64-bit key hash per local id (probe
-    /// prefilter in kDelta, the whole identity in kCompact; also makes
-    /// table growth rehash-free).
+    /// Full 64-bit key hash per local id: the probe prefilter (the whole
+    /// identity in kCompact), and what table growth rehashes from.
     std::vector<uint64_t> hashes;
     /// kDelta: byte offset of each local id's record in recs.
     std::vector<uint64_t> rec_off;
@@ -549,10 +546,8 @@ class ShardedStateStore {
                          const Staging::Pending& p);
   /// kDelta append: aux + parent link + record bytes + stored hash.
   uint32_t AppendDeltaToShard(Shard* shard, const PendingAppend& a);
+  /// Doubles the probe table, rehashing from the stored hashes.
   void GrowShard(Shard* shard);
-  /// Rehash from stored hashes (kDelta/kCompact, where recomputing
-  /// hashes from keys is impossible or wasteful).
-  void GrowShardByHash(Shard* shard);
 
   /// kDelta: encodes the record for `key` into staging->rec_scratch_
   /// (full record when `parent_key` is null or the delta would be
@@ -560,7 +555,7 @@ class ShardedStateStore {
   void EncodeRecord(Staging* staging, uint32_t shard, const uint64_t* key,
                     uint32_t parent, const uint64_t* parent_key) const;
   /// kDelta: reconstructs the full key of committed global id `id` via
-  /// the parent-record chain, memoized in `cache`. Reads only committed
+  /// the parent-record chain, cached in `cache`. Reads only committed
   /// data — safe concurrently with provisional slot/hash insertions.
   const uint64_t* ReconstructKey(uint32_t id, KeyDecodeCache* cache) const;
   /// kDelta probe: does committed (shard, local) hold exactly `key`?
@@ -568,7 +563,7 @@ class ShardedStateStore {
                           const uint64_t* key, KeyDecodeCache* cache) const;
 
   size_t CommitStagedDelta(std::vector<Staging>* chunks, size_t num_chunks,
-                           ThreadPool* pool, bool dedupe);
+                           ThreadPool* pool);
 
   const int key_words_;
   const int aux_words_;

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <utility>
 
-#include "analysis/store_stats.h"
 #include "common/string_util.h"
 #include "io/text_format.h"
 #include "runtime/simulation.h"
@@ -105,10 +104,6 @@ Result<Server> Server::Create(const ServerOptions& options) {
         "wydb_serve rejects --store-encoding compact: compacted verdicts "
         "are probabilistic, and a verdict cache must only hold exact ones");
   }
-  SafetyCheckOptions probe;
-  probe.engine = options.engine;
-  probe.store = options.store;
-  WYDB_RETURN_IF_ERROR(ValidateStoreOptions(probe, probe.engine));
   if (options.cache_entries < 1) {
     return Status::InvalidArgument("cache capacity must be at least 1");
   }
@@ -299,6 +294,7 @@ void Server::HandleCertify(const std::vector<std::string>& params,
   SafetyCheckOptions base;
   base.max_states = max_states;
   base.search_threads = options_.search_threads;
+  base.store = options_.store;
   if (timeout_ms > 0) {
     base.deadline = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(timeout_ms);
@@ -386,9 +382,12 @@ void Server::HandleCertify(const std::vector<std::string>& params,
     } else if (match->added) {
       // Certified base plus one transaction: delta-gated search. Cycle
       // tests are skipped while the new transaction is idle — sound
-      // because the base system is certified (docs/SERVE.md).
+      // because the base system is certified (docs/SERVE.md). The gate
+      // needs full expansion, so a reduced server runs it at one thread.
       SafetyCheckOptions opts = base;
-      opts.engine = SearchEngine::kIncremental;
+      opts.engine = options_.engine == SearchEngine::kReduced
+                        ? SearchEngine::kIncremental
+                        : options_.engine;
       opts.delta_txn = match->delta_index;
       auto report = CheckSafeAndDeadlockFree(sys, opts);
       if (!report.ok()) return fail(report.status().message());
@@ -403,10 +402,6 @@ void Server::HandleCertify(const std::vector<std::string>& params,
   // 3. Full certification.
   SafetyCheckOptions opts = base;
   opts.engine = options_.engine;
-  if (opts.engine == SearchEngine::kParallelSharded ||
-      opts.engine == SearchEngine::kReduced) {
-    opts.store = options_.store;
-  }
   auto report = CheckSafeAndDeadlockFree(sys, opts);
   if (!report.ok()) return fail(report.status().message());
   ++stats.full_certifications;
@@ -481,10 +476,7 @@ Status Server::Preload(const std::string& text) {
   opts.max_states = options_.max_states;
   opts.engine = options_.engine;
   opts.search_threads = options_.search_threads;
-  if (opts.engine == SearchEngine::kParallelSharded ||
-      opts.engine == SearchEngine::kReduced) {
-    opts.store = options_.store;
-  }
+  opts.store = options_.store;
   WYDB_ASSIGN_OR_RETURN(SafetyReport report, CheckSafeAndDeadlockFree(sys, opts));
   CertificateBundle bundle = MakeCertificate(key, report);
   SystemProfile profile = ProfileOf(sys);

@@ -37,14 +37,14 @@ struct ServerOptions {
   int timeout_ms = 0;
   /// Verdict-cache capacity, in systems.
   int cache_entries = 128;
-  /// Engine for full certifications (incremental recertification always
-  /// uses kIncremental, where the delta gate lives).
+  /// Engine for certifications. The delta-gated recertification needs
+  /// full expansion, so under kReduced it runs kIncremental instead.
   SearchEngine engine = SearchEngine::kIncremental;
   int search_threads = 0;
-  /// Store memory mode for full runs on the sharded engines (DESIGN.md
-  /// §9). kCompact is rejected at startup: compacted verdicts are not
-  /// exact, and a serving cache must never launder a probabilistic
-  /// refutation into a certificate.
+  /// Store memory mode of every search (DESIGN.md §9). kCompact is
+  /// rejected at startup: compacted verdicts are not exact, and a serving
+  /// cache must never launder a probabilistic refutation into a
+  /// certificate.
   StoreOptions store;
   /// Verdict-journal path ("" = no persistence). Freshly computed
   /// verdicts are appended; at startup the journal's salvageable prefix

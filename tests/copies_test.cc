@@ -1,10 +1,16 @@
 // Tests for Corollary 3 / Theorem 5: systems of identical copies.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+
 #include "analysis/copies_analyzer.h"
 #include "analysis/deadlock_checker.h"
 #include "analysis/multi_analyzer.h"
 #include "analysis/safety_checker.h"
+#include "gen/system_gen.h"
+#include "io/text_format.h"
 #include "tests/test_util.h"
 
 namespace wydb {
@@ -66,9 +72,43 @@ TEST(CopiesTest, MakeCopiesBuildsSystem) {
   auto sys = MakeCopies(t, 3);
   ASSERT_TRUE(sys.ok());
   EXPECT_EQ(sys->num_transactions(), 3);
-  EXPECT_EQ(sys->txn(0).name(), "T#1");
+  EXPECT_EQ(sys->txn(0).name(), "T_1");
   EXPECT_EQ(sys->txn(2).num_steps(), t.num_steps());
   EXPECT_FALSE(MakeCopies(t, 0).ok());
+}
+
+// Copy names survive the .wydb format (where `#` would start a comment):
+// a generated farm serializes and parses back with the same transaction
+// names and the same step partial orders.
+TEST(CopiesTest, GeneratedFarmRoundTripsThroughText) {
+  for (bool certified : {true, false}) {
+    ReplicatedFarmOptions o;
+    o.workers = 3;
+    o.entities = 3;
+    o.certified = certified;
+    auto farm = GenerateReplicatedFarm(o);
+    ASSERT_TRUE(farm.ok());
+    const TransactionSystem& sys = *farm->system;
+    auto back = ParseWorkload(SerializeSystem(sys));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    const TransactionSystem& parsed = *back->owned.system;
+    ASSERT_EQ(parsed.num_transactions(), sys.num_transactions());
+    // The precedence pairs by step label, independent of step listing.
+    auto order = [](const Transaction& t) {
+      std::set<std::pair<std::string, std::string>> pairs;
+      for (NodeId u = 0; u < t.num_steps(); ++u) {
+        for (NodeId v = 0; v < t.num_steps(); ++v) {
+          if (t.Precedes(u, v)) pairs.emplace(t.StepLabel(u), t.StepLabel(v));
+        }
+      }
+      return pairs;
+    };
+    for (int i = 0; i < sys.num_transactions(); ++i) {
+      EXPECT_EQ(parsed.txn(i).name(), sys.txn(i).name());
+      EXPECT_EQ(parsed.txn(i).num_steps(), sys.txn(i).num_steps());
+      EXPECT_EQ(order(parsed.txn(i)), order(sys.txn(i)));
+    }
+  }
 }
 
 // Corollary 3 verdicts agree with the exact checker on 2 copies, and by

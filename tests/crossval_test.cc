@@ -15,6 +15,7 @@
 #include "runtime/live_engine.h"
 #include "runtime/simulation.h"
 #include "runtime/workload.h"
+#include "tests/reference_search.h"
 #include "tests/test_util.h"
 
 namespace wydb {
@@ -420,7 +421,6 @@ TEST_P(XOnlyDemotionSweep, DemotionIsTheIdentityOnExclusiveOnlySystems) {
   };
   const EngineCfg kGrid[] = {
       {SearchEngine::kIncremental, 1},
-      {SearchEngine::kNaiveReference, 1},
       {SearchEngine::kParallelSharded, 1},
       {SearchEngine::kParallelSharded, 4},
       {SearchEngine::kReduced, 1},
@@ -456,6 +456,21 @@ TEST_P(XOnlyDemotionSweep, DemotionIsTheIdentityOnExclusiveOnlySystems) {
     if (da->witness.has_value()) {
       EXPECT_EQ(da->witness->schedule, db->witness->schedule);
     }
+  }
+  // ...and so must the naive reference search.
+  {
+    auto ra = reference::CheckSafeAndDeadlockFree(s);
+    auto rb = reference::CheckSafeAndDeadlockFree(demoted);
+    ASSERT_TRUE(ra.ok());
+    ASSERT_TRUE(rb.ok());
+    EXPECT_EQ(ra->holds, rb->holds);
+    EXPECT_EQ(ra->states_visited, rb->states_visited);
+    auto da = reference::CheckDeadlockFreedom(s);
+    auto db = reference::CheckDeadlockFreedom(demoted);
+    ASSERT_TRUE(da.ok());
+    ASSERT_TRUE(db.ok());
+    EXPECT_EQ(da->deadlock_free, db->deadlock_free);
+    EXPECT_EQ(da->states_visited, db->states_visited);
   }
 
   // Same seed, same trajectory: the simulator cannot tell them apart,

@@ -166,28 +166,6 @@ TEST(DeadlockCheckerProperty, ModesAgreeOnRandomSystems) {
   }
 }
 
-// Property: memoization changes cost, not the verdict.
-TEST(DeadlockCheckerProperty, MemoizationDoesNotChangeVerdict) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    RandomSystemOptions opts;
-    opts.num_transactions = 2;
-    opts.entities_per_txn = 2;
-    opts.seed = seed;
-    auto sys = GenerateRandomSystem(opts);
-    ASSERT_TRUE(sys.ok());
-    DeadlockCheckOptions memo, nomemo;
-    nomemo.memoize = false;
-    nomemo.max_states = 2'000'000;
-    auto a = CheckDeadlockFreedom(*sys->system, memo);
-    auto b = CheckDeadlockFreedom(*sys->system, nomemo);
-    ASSERT_TRUE(a.ok());
-    if (b.ok()) {
-      EXPECT_EQ(a->deadlock_free, b->deadlock_free) << "seed " << seed;
-      EXPECT_GE(b->states_visited, a->states_visited);
-    }
-  }
-}
-
 // Property: every witness schedule is legal and genuinely stuck.
 TEST(DeadlockCheckerProperty, WitnessesAreRealDeadlocks) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {

@@ -1,9 +1,10 @@
 // Differential fuzz suite: on ~200 randomly generated systems per run,
 // every layer of the stack must tell one consistent story —
 //
-//   * the three exhaustive search engines (naive reference, incremental,
-//     parallel sharded at >1 thread) agree on the exact deadlock verdict,
-//     witness, and states_visited, in both detection modes;
+//   * the full-expansion engines (incremental, parallel sharded at >1
+//     thread, delta-encoded) agree with the naive reference search of
+//     tests/reference_search.h on the exact deadlock verdict, witness, and
+//     states_visited, in both detection modes;
 //   * the reduced engine (kReduced, serial and 4-thread) agrees on every
 //     verdict — deadlock in both detection modes, safe+DF, and pure
 //     safety — and is deterministic across thread counts; its state
@@ -41,6 +42,7 @@
 #include "runtime/live_engine.h"
 #include "runtime/simulation.h"
 #include "runtime/workload.h"
+#include "tests/reference_search.h"
 #include "tests/test_util.h"
 
 namespace wydb {
@@ -161,8 +163,7 @@ void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
                     DeadlockDetectionMode::kReductionGraph}) {
     DeadlockCheckOptions ref;
     ref.mode = mode;
-    ref.engine = SearchEngine::kNaiveReference;
-    auto b = CheckDeadlockFreedom(s, ref);
+    auto b = reference::CheckDeadlockFreedom(s, ref);
     ASSERT_TRUE(b.ok());
     // The last config reruns the parallel engine over the delta-encoded
     // store (DESIGN.md §9.1): reconstruction through the decode cache
@@ -260,8 +261,7 @@ void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
   // --- Safety engines agree too. ---------------------------------------
   {
     SafetyCheckOptions ref;
-    ref.engine = SearchEngine::kNaiveReference;
-    auto b = CheckSafeAndDeadlockFree(s, ref);
+    auto b = reference::CheckSafeAndDeadlockFree(s, ref);
     ASSERT_TRUE(b.ok());
     for (auto engine :
          {SearchEngine::kIncremental, SearchEngine::kParallelSharded}) {
@@ -276,7 +276,7 @@ void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
 
     // kReduced: verdicts for both Lemma 1 properties, with violation
     // replay (the reconstructed schedule must rebuild a cyclic D(S')).
-    auto safe_ref = CheckSafety(s, ref);
+    auto safe_ref = reference::CheckSafety(s, ref);
     ASSERT_TRUE(safe_ref.ok());
     for (int threads : {1, 4}) {
       SafetyCheckOptions opts;
@@ -332,6 +332,11 @@ void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
     live.seed = seed;
     live.threads = s.num_transactions();
     live.rounds = 3;
+    // The watchdog calls two progress-free intervals a deadlock. On a
+    // test host running the whole suite in parallel a runnable worker
+    // can be starved for longer than the default 2 x 250 ms, so give it
+    // room; a real deadlock still ends the session, 4 s later.
+    live.watchdog_interval_ms = 2000;
     auto lr = RunLive(s, live);
     ASSERT_TRUE(lr.ok());
     EXPECT_FALSE(lr->deadlocked)

@@ -149,8 +149,8 @@ TEST(SafetyCheckerTest, ExpiredDeadlineIsResourceExhausted) {
   txns.push_back(MakeSeq(db.get(), "T2", {"Ly", "Lx", "Ux", "Uy"}));
   TransactionSystem sys = MakeSystem(db.get(), std::move(txns));
   for (SearchEngine engine :
-       {SearchEngine::kNaiveReference, SearchEngine::kIncremental,
-        SearchEngine::kParallelSharded, SearchEngine::kReduced}) {
+       {SearchEngine::kIncremental, SearchEngine::kParallelSharded,
+        SearchEngine::kReduced}) {
     SafetyCheckOptions opts;
     opts.engine = engine;
     opts.deadline = std::chrono::steady_clock::now() -
@@ -231,10 +231,10 @@ TEST(SafetyCheckerTest, DeltaTxnOptionIsValidated) {
             StatusCode::kInvalidArgument);
 
   opts.delta_txn = 1;
-  opts.engine = SearchEngine::kReduced;  // Gate lives on kIncremental.
+  opts.engine = SearchEngine::kReduced;  // Gate needs full expansion.
   auto wrong_engine = CheckSafeAndDeadlockFree(sys, opts);
   ASSERT_FALSE(wrong_engine.ok());
-  EXPECT_NE(wrong_engine.status().message().find("incremental engine"),
+  EXPECT_NE(wrong_engine.status().message().find("full expansion"),
             std::string::npos)
       << wrong_engine.status().ToString();
 
@@ -296,21 +296,31 @@ TEST(SafetyCheckerProperty, DeltaGateMatchesFullRunOnCertifiedBases) {
     auto sys = TransactionSystem::Create(base->db.get(), std::move(all));
     if (!sys.ok()) continue;
 
-    SafetyCheckOptions gated;
-    gated.delta_txn = sys->num_transactions() - 1;
-    auto fast = CheckSafeAndDeadlockFree(*sys, gated);
     auto full = CheckSafeAndDeadlockFree(*sys);
-    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
     ASSERT_TRUE(full.ok());
-    EXPECT_EQ(fast->holds, full->holds) << "seed " << seed;
-    EXPECT_EQ(fast->states_visited, full->states_visited) << "seed " << seed;
-    if (!fast->holds) {
-      ASSERT_TRUE(fast->violation.has_value());
-      EXPECT_EQ(fast->violation->schedule, full->violation->schedule)
-          << "seed " << seed;
-    }
     EXPECT_EQ(full->delta_skipped_tests, 0u);
-    total_skipped += fast->delta_skipped_tests;
+    // The gate is a driver option of full expansion at any thread count.
+    for (auto [engine, threads] :
+         {std::pair{SearchEngine::kIncremental, 1},
+          std::pair{SearchEngine::kParallelSharded, 3}}) {
+      SafetyCheckOptions gated;
+      gated.engine = engine;
+      gated.search_threads = threads;
+      gated.delta_txn = sys->num_transactions() - 1;
+      auto fast = CheckSafeAndDeadlockFree(*sys, gated);
+      ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+      EXPECT_EQ(fast->holds, full->holds) << "seed " << seed;
+      EXPECT_EQ(fast->states_visited, full->states_visited)
+          << "seed " << seed;
+      if (!fast->holds) {
+        ASSERT_TRUE(fast->violation.has_value());
+        EXPECT_EQ(fast->violation->schedule, full->violation->schedule)
+            << "seed " << seed;
+      }
+      if (engine == SearchEngine::kIncremental) {
+        total_skipped += fast->delta_skipped_tests;
+      }
+    }
     ++exercised;
   }
   EXPECT_GT(exercised, 20);     // The remap filter leaves real coverage.

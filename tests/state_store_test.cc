@@ -1,6 +1,6 @@
 // StateStore unit tests plus the cross-validation property suite: the
-// incremental expansion/cycle engine must be verdict- and count-identical
-// to the retained naive reference on random small systems.
+// library engines must be verdict- and count-identical to the naive
+// reference search (tests/reference_search.h) on random small systems.
 #include "core/state_store.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/state_space.h"
 #include "gen/system_gen.h"
+#include "tests/reference_search.h"
 #include "tests/test_util.h"
 
 namespace wydb {
@@ -60,15 +61,6 @@ TEST(StateStoreTest, KeysSurviveArenaGrowthAndRehash) {
     EXPECT_EQ(r.id, static_cast<uint32_t>(i));
     EXPECT_EQ(*store.KeyOf(r.id), key);
   }
-}
-
-TEST(StateStoreTest, AppendSkipsDeduplication) {
-  StateStore store(/*key_words=*/1);
-  uint64_t key = 42;
-  uint32_t a = store.Append(&key);
-  uint32_t b = store.Append(&key);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(store.size(), 2u);
 }
 
 TEST(StateStoreTest, AuxIsZeroInitializedAndMutable) {
@@ -193,7 +185,7 @@ TEST(ShardedStateStoreTest, StagedCommitMatchesSerialIntern) {
   }
 }
 
-TEST(ShardedStateStoreTest, CommitWithoutDedupeAppendsEverything) {
+TEST(ShardedStateStoreTest, CommitDedupesWithinABatch) {
   const int kw = 2;
   ShardedStateStore store(kw, 0, 4);
   ThreadPool pool(2);
@@ -205,11 +197,10 @@ TEST(ShardedStateStoreTest, CommitWithoutDedupeAppendsEverything) {
   for (int i = 0; i < 5; ++i) {
     store.Stage(&chunks[0], key, nullptr, 0, GlobalNode{i, 0});
   }
-  EXPECT_EQ(store.CommitStaged(&chunks, 1, &pool, /*dedupe=*/false), 5u);
-  EXPECT_EQ(store.size(), 6u);
-  for (uint32_t id = 1; id <= 5; ++id) {
-    EXPECT_EQ(store.MoveOf(id).txn, static_cast<int>(id) - 1);
-  }
+  // One fresh state; the first staged occurrence wins the parent link.
+  EXPECT_EQ(store.CommitStaged(&chunks, 1, &pool), 1u);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.MoveOf(1).txn, 0);
 }
 
 TEST(ShardedStateStoreTest, PathFromRootFollowsParentLinks) {
@@ -326,8 +317,7 @@ TEST_P(EngineCrossval, DeadlockAndSafetyVerdictsAndCountsIdentical) {
                       DeadlockDetectionMode::kReductionGraph}) {
       DeadlockCheckOptions ref;
       ref.mode = mode;
-      ref.engine = SearchEngine::kNaiveReference;
-      auto b = CheckDeadlockFreedom(s, ref);
+      auto b = reference::CheckDeadlockFreedom(s, ref);
       ASSERT_TRUE(b.ok());
       for (const auto& [engine, threads] : kEngines) {
         SCOPED_TRACE(testing::Message()
@@ -352,9 +342,8 @@ TEST_P(EngineCrossval, DeadlockAndSafetyVerdictsAndCountsIdentical) {
 
     {
       SafetyCheckOptions ref;
-      ref.engine = SearchEngine::kNaiveReference;
-      auto b = CheckSafeAndDeadlockFree(s, ref);
-      auto sb = CheckSafety(s, ref);
+      auto b = reference::CheckSafeAndDeadlockFree(s, ref);
+      auto sb = reference::CheckSafety(s, ref);
       ASSERT_TRUE(b.ok());
       ASSERT_TRUE(sb.ok());
       for (const auto& [engine, threads] : kEngines) {
@@ -397,39 +386,6 @@ INSTANTIATE_TEST_SUITE_P(
                       CrossvalShape{1, 2, 4, 2, false},
                       CrossvalShape{2, 3, 3, 3, true}));
 
-// The memoization ablation must agree between engines as well (witnesses
-// excluded: without memoization the two engines legitimately record
-// different — both valid — parent paths).
-TEST(EngineCrossvalNoMemo, CountsIdenticalWithoutMemoization) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    RandomSystemOptions opts;
-    opts.num_transactions = 2;
-    opts.entities_per_txn = 2;
-    opts.seed = seed;
-    auto sys = GenerateRandomSystem(opts);
-    ASSERT_TRUE(sys.ok());
-    DeadlockCheckOptions ref;
-    ref.memoize = false;
-    ref.max_states = 2'000'000;
-    ref.engine = SearchEngine::kNaiveReference;
-    auto b = CheckDeadlockFreedom(*sys->system, ref);
-    for (auto engine :
-         {SearchEngine::kIncremental, SearchEngine::kParallelSharded}) {
-      DeadlockCheckOptions fast = ref;
-      fast.engine = engine;
-      fast.search_threads = 2;
-      auto a = CheckDeadlockFreedom(*sys->system, fast);
-      ASSERT_EQ(a.ok(), b.ok()) << "seed " << seed;
-      if (!a.ok()) {
-        EXPECT_EQ(a.status().code(), b.status().code());
-        continue;
-      }
-      EXPECT_EQ(a->deadlock_free, b->deadlock_free) << "seed " << seed;
-      EXPECT_EQ(a->states_visited, b->states_visited) << "seed " << seed;
-    }
-  }
-}
-
 // The benchmark workload generators: verdicts are known by construction
 // and the engines must agree on them (and on the state counts).
 TEST(EngineCrossval, BenchWorkloadGeneratorsAgree) {
@@ -441,8 +397,7 @@ TEST(EngineCrossval, BenchWorkloadGeneratorsAgree) {
                                      chain->system.get()}) {
     DeadlockCheckOptions dopts;
     auto da = CheckDeadlockFreedom(*s, dopts);
-    dopts.engine = SearchEngine::kNaiveReference;
-    auto db = CheckDeadlockFreedom(*s, dopts);
+    auto db = reference::CheckDeadlockFreedom(*s, dopts);
     dopts.engine = SearchEngine::kParallelSharded;
     dopts.search_threads = 4;
     auto dp = CheckDeadlockFreedom(*s, dopts);
@@ -455,8 +410,7 @@ TEST(EngineCrossval, BenchWorkloadGeneratorsAgree) {
 
     SafetyCheckOptions sopts;
     auto sa = CheckSafeAndDeadlockFree(*s, sopts);
-    sopts.engine = SearchEngine::kNaiveReference;
-    auto sb = CheckSafeAndDeadlockFree(*s, sopts);
+    auto sb = reference::CheckSafeAndDeadlockFree(*s, sopts);
     sopts.engine = SearchEngine::kParallelSharded;
     sopts.search_threads = 4;
     auto sp = CheckSafeAndDeadlockFree(*s, sopts);
@@ -475,14 +429,16 @@ TEST(EngineCrossval, ResourceExhaustionMatches) {
   ASSERT_TRUE(ring.ok());
   DeadlockCheckOptions opts;
   opts.max_states = 3;
+  auto ref = reference::CheckDeadlockFreedom(*ring->system, opts);
+  EXPECT_EQ(ref.status().code(), StatusCode::kResourceExhausted);
   for (auto engine :
-       {SearchEngine::kIncremental, SearchEngine::kNaiveReference,
-        SearchEngine::kParallelSharded}) {
+       {SearchEngine::kIncremental, SearchEngine::kParallelSharded}) {
     opts.engine = engine;
     opts.search_threads = 2;
     auto r = CheckDeadlockFreedom(*ring->system, opts);
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
         << "engine " << static_cast<int>(engine);
+    EXPECT_EQ(r.status().message(), ref.status().message());
   }
 }
 

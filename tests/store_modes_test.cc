@@ -439,30 +439,41 @@ TEST(CompactModeTest, SafetyCheckerAgreesAndMarksNonExact) {
 }
 
 // ---------------------------------------------------------------------
-// Mode/engine conflicts fail fast with InvalidArgument.
+// Engine x mode combinations.
 
-TEST(StoreModeValidation, SerialEnginesRejectMemoryModes) {
+// kIncremental is the shared driver at one thread, so it takes every
+// memory mode with the same results as the plain store.
+TEST(StoreModeValidation, IncrementalEngineTakesEveryMemoryMode) {
   auto ring = GenerateRingSystem(3);
   ASSERT_TRUE(ring.ok());
-  for (auto engine :
-       {SearchEngine::kIncremental, SearchEngine::kNaiveReference}) {
+  DeadlockCheckOptions plain;
+  auto b = CheckDeadlockFreedom(*ring->system, plain);
+  SafetyCheckOptions splain;
+  auto sb = CheckSafety(*ring->system, splain);
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(sb.ok());
+  for (const StoreOptions& store :
+       {DeltaOptions(), DeltaOptions(/*budget_mb=*/1), CompactOptions()}) {
     DeadlockCheckOptions d;
-    d.engine = engine;
-    d.store = DeltaOptions();
-    EXPECT_EQ(CheckDeadlockFreedom(*ring->system, d).status().code(),
-              StatusCode::kInvalidArgument);
-    DeadlockCheckOptions b;
-    b.engine = engine;
-    b.store.mem_budget_mb = 64;
-    EXPECT_EQ(CheckDeadlockFreedom(*ring->system, b).status().code(),
-              StatusCode::kInvalidArgument);
+    d.store = store;
+    auto a = CheckDeadlockFreedom(*ring->system, d);
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    EXPECT_EQ(a->deadlock_free, b->deadlock_free);
+    EXPECT_EQ(a->states_visited, b->states_visited);
+    ASSERT_TRUE(a->witness.has_value());
+    EXPECT_EQ(a->witness->schedule, b->witness->schedule);
     SafetyCheckOptions s;
-    s.engine = engine;
-    s.store = DeltaOptions();
-    EXPECT_EQ(CheckSafety(*ring->system, s).status().code(),
-              StatusCode::kInvalidArgument);
+    s.store = store;
+    auto sa = CheckSafety(*ring->system, s);
+    ASSERT_TRUE(sa.ok()) << sa.status().ToString();
+    EXPECT_EQ(sa->holds, sb->holds);
+    EXPECT_EQ(sa->states_visited, sb->states_visited);
+    EXPECT_EQ(sa->exact,
+              store.encoding != StoreOptions::KeyEncoding::kCompact);
   }
 }
+
+// Mode/engine conflicts fail fast with InvalidArgument.
 
 TEST(StoreModeValidation, ReducedEngineRejectsCompaction) {
   auto ring = GenerateRingSystem(3);

@@ -184,7 +184,10 @@ def check_cli_smoke(binary: Path) -> list[str]:
         (["simulate", str(sample), "--policy"], 2, "needs a value", None),
         ([str(sample), "--engine"], 2, "needs a value", None),
         ([str(sample), "--engine", "bogus"], 2,
-         "incremental, reference, parallel, or reduced", None),
+         "incremental, parallel, or reduced", None),
+        # The naive seed search is a test oracle, not an engine.
+        ([str(sample), "--engine", "reference"], 2,
+         "incremental, parallel, or reduced", None),
         # --stats implies --exact; both exact checks print a stats line.
         ([str(sample), "--stats"], 1, None, (STATS_LINE_RE, 2)),
         ([str(sample), "--engine", "reduced", "--stats",
@@ -202,8 +205,10 @@ def check_cli_smoke(binary: Path) -> list[str]:
          "non-negative integer", None),
         ([str(sample), "--store-encoding", "compact"], 2,
          "--allow-compaction", None),
+        # Every engine runs the one level-synchronous search, so the
+        # one-thread engine takes the memory modes too.
         ([str(sample), "--store-encoding", "delta", "--engine",
-          "incremental"], 2, "parallel or reduced", None),
+          "incremental", "--stats"], 1, None, (STATS_LINE_RE, 2)),
         ([str(sample), "--store-encoding", "compact", "--allow-compaction",
           "--engine", "reduced"], 2, "parallel engine", None),
         ([str(sample), "--store-encoding", "delta", "--stats"], 1, None,
@@ -306,8 +311,8 @@ def check_serve_smoke(binary: Path) -> list[str]:
         (["--port", "0"], "1-65535"),
         (["--max-states", "many"], "non-negative integer"),
         (["--cache-entries", "0"], "at least 1"),
-        (["--engine", "bogus"],
-         "incremental, reference, parallel, or reduced"),
+        (["--engine", "bogus"], "incremental, parallel, or reduced"),
+        (["--engine", "reference"], "incremental, parallel, or reduced"),
         (["--store-encoding", "bogus"], "plain or delta"),
         (["--store-encoding", "compact"], "refused"),
         (["--preload"], "needs a value"),

@@ -26,8 +26,11 @@ geomean ratio < 1 - threshold.
 
 Benchmarks are matched by exact `name`; rows present in only one file
 are reported but never fail the run (series come and go), and rows that
-errored (`error_occurred`) are skipped. Geomeans are used so one noisy
-series cannot hide a broad regression — or fail the run on its own.
+errored (`error_occurred`) are skipped. `ns_per_state` is in
+nanoseconds; a value below 1 is a unit error (a counter still recorded
+in seconds) and fails the run with exit 2 before anything is compared.
+Geomeans are used so one noisy series cannot hide a broad regression —
+or fail the run on its own.
 
 Usage:
   tools/compare_bench.py BASELINE.json CANDIDATE.json [--threshold 0.15]
@@ -75,6 +78,17 @@ def load_rows(path: str) -> dict[str, dict]:
     return rows
 
 
+def unit_errors(path: str, rows: dict[str, dict]) -> list[str]:
+    """Rows whose ns_per_state cannot be nanoseconds: no search step
+    takes under a nanosecond, so such a value was recorded in seconds."""
+    return [
+        f"{path}: {name}: ns_per_state {row['ns_per_state']:g} is below "
+        f"1 ns — recorded in seconds, not nanoseconds?"
+        for name, row in rows.items()
+        if 0 < row.get("ns_per_state", 1.0) < 1.0
+    ]
+
+
 def metric_value(row: dict, metric: str):
     value = row.get(metric)
     if value is None and metric == "ns_per_state":
@@ -105,6 +119,11 @@ def main() -> int:
 
     base = load_rows(args.baseline)
     cand = load_rows(args.candidate)
+    errors = unit_errors(args.baseline, base) + unit_errors(args.candidate, cand)
+    if errors:
+        for line in errors:
+            print(f"compare_bench: {line}", file=sys.stderr)
+        return 2
     matched = sorted(base.keys() & cand.keys())
     only_base = sorted(base.keys() - cand.keys())
     only_cand = sorted(cand.keys() - base.keys())

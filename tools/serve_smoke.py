@@ -24,7 +24,10 @@ Legs:
    each answered with an isolated error, the server still serving after;
 9. a backpressure leg: with --sessions 1, a third simultaneous
    connection is shed with an `at capacity` error while the occupied
-   session keeps its slot.
+   session keeps its slot;
+10. an idle-drain leg, 20 times: with idle connections open, SIGTERM
+   must end the server with exit 0 within 2 s and no further connect —
+   the signal must reach the thread blocked in accept, not a session.
 
 Usage: tools/serve_smoke.py path/to/wydb_serve path/to/wydb_analyze
 Exits nonzero with a named complaint on any mismatch.
@@ -482,6 +485,40 @@ def run_backpressure_session(serve: Path) -> None:
             proc.kill()
 
 
+def run_idle_drain_session(serve: Path, rounds: int = 20) -> None:
+    """Leg 10: SIGTERM with idle sessions open drains without a connect."""
+    for attempt in range(rounds):
+        started = start_server(serve, [])
+        if started is None:
+            complain("idle-drain leg: could not start the server")
+            return
+        proc, port = started
+        idle = []
+        try:
+            for _ in range(3):
+                idle.append(socket.create_connection(("127.0.0.1", port),
+                                                     timeout=10))
+            time.sleep(0.2)  # Let the sessions start and block in read.
+            start = time.time()
+            proc.terminate()
+            try:
+                code = proc.wait(timeout=2)
+                expect(code == 0,
+                       f"idle-drain leg (round {attempt}): exit {code}")
+            except subprocess.TimeoutExpired:
+                complain(f"idle-drain leg (round {attempt}): no exit "
+                         f"within 2 s of SIGTERM")
+            else:
+                expect(time.time() - start < 2.0,
+                       f"idle-drain leg (round {attempt}): slow drain")
+        finally:
+            for conn in idle:
+                conn.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -492,10 +529,11 @@ def main() -> int:
     run_concurrent_faults_session(serve, analyze)
     run_malformed_flood_session(serve)
     run_backpressure_session(serve)
+    run_idle_drain_session(serve)
     if not ERRORS:
         print("serve_smoke: OK (pipe + tcp + concurrent-fault + flood + "
-              "backpressure sessions, verdicts cross-checked against "
-              "wydb_analyze --exact)")
+              "backpressure + idle-drain sessions, verdicts cross-checked "
+              "against wydb_analyze --exact)")
     return 1 if ERRORS else 0
 
 

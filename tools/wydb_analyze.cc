@@ -46,18 +46,19 @@ Usage:
 Analysis options:
   --pairs            also print the per-pair Theorem 3 verdicts
   --exact            also run the exact (exponential) checkers
-  --engine <e>       exact-checker engine: incremental (default),
-                     reference (the naive seed implementation), parallel
-                     (sharded level-synchronous BFS), or reduced
-                     (commutativity pruning + transaction-symmetry
-                     canonicalization; verdict-equivalent, visits far
-                     fewer states on symmetric workloads); implies
-                     --exact and composes with --search-threads
+  --engine <e>       exact-checker engine, one level-synchronous search
+                     in three configurations: incremental (default; one
+                     thread), parallel (--search-threads workers), or
+                     reduced (commutativity pruning + transaction-
+                     symmetry canonicalization; verdict-equivalent,
+                     visits far fewer states on symmetric workloads);
+                     implies --exact and composes with --search-threads
   --search-threads <k>  worker threads for the parallel and reduced
                      engines (0 = hardware concurrency); without
                      --engine this selects the parallel engine, whose
                      verdicts, witnesses, and state counts are
-                     bit-identical to the serial engine; implies --exact
+                     bit-identical to the one-thread engine; implies
+                     --exact
   --stats            print a per-check stats line (states interned,
                      sleep-set pruned expansions, symmetry orbits,
                      store bytes/state, arena and probe-table bytes,
@@ -68,14 +69,12 @@ Analysis options:
                      byte arena; same verdicts and state ids, much
                      smaller), or compact (64-bit fingerprints instead
                      of full keys; probabilistic, needs
-                     --allow-compaction); implies --exact and selects
-                     the parallel engine unless --engine picked
-                     parallel or reduced (compact: parallel only)
+                     --allow-compaction; not with the reduced engine);
+                     implies --exact
   --mem-budget-mb <m>  spill staged search frontiers to a temporary
                      file whenever the store plus staging exceed <m>
                      MiB, bounding BFS memory by disk instead of RAM
-                     (0 = never spill); implies --exact and engine
-                     selection like --store-encoding
+                     (0 = never spill); implies --exact
   --max-states <n>   per-check state budget for the exact oracles
                      (default 5000000; a search past it returns
                      ResourceExhausted; 0 keeps the default); implies
@@ -818,15 +817,12 @@ int main(int argc, char** argv) {
       engine_set = true;
       if (!std::strcmp(name, "incremental")) {
         engine = SearchEngine::kIncremental;
-      } else if (!std::strcmp(name, "reference")) {
-        engine = SearchEngine::kNaiveReference;
       } else if (!std::strcmp(name, "parallel")) {
         engine = SearchEngine::kParallelSharded;
       } else if (!std::strcmp(name, "reduced")) {
         engine = SearchEngine::kReduced;
       } else {
-        return Fail(
-            "--engine wants incremental, reference, parallel, or reduced");
+        return Fail("--engine wants incremental, parallel, or reduced");
       }
     } else if (!std::strcmp(argv[a], "--search-threads")) {
       if (a + 1 >= argc) FailMissingValue("--search-threads");
@@ -885,23 +881,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The memory modes live on the sharded substrate (DESIGN.md §9): pick
-  // the parallel engine unless one was chosen explicitly, and reject the
-  // serial engines (and compact under reduced, whose witness replay
-  // reads ancestor keys) before any work happens.
-  if (store.encoding != StoreOptions::KeyEncoding::kPlain ||
-      store.mem_budget_mb > 0) {
-    if (!engine_set) {
-      engine = SearchEngine::kParallelSharded;
-      engine_set = true;
-    }
-    if (engine == SearchEngine::kIncremental ||
-        engine == SearchEngine::kNaiveReference) {
-      return Fail(
-          "--store-encoding / --mem-budget-mb need --engine parallel or "
-          "reduced");
-    }
-  }
+  // Compaction misuse is refused before any work happens (compact under
+  // reduced: witness replay reads the ancestor keys compaction drops).
   if (store.encoding == StoreOptions::KeyEncoding::kCompact) {
     if (cert_path != nullptr) {
       return Fail(
@@ -981,10 +962,9 @@ int main(int argc, char** argv) {
   bool exact_safe = false;
   if (exact) {
     const char* engine_name =
-        engine == SearchEngine::kNaiveReference   ? "reference"
-        : engine == SearchEngine::kParallelSharded ? "parallel"
-        : engine == SearchEngine::kReduced         ? "reduced"
-                                                   : "incremental";
+        engine == SearchEngine::kParallelSharded ? "parallel"
+        : engine == SearchEngine::kReduced       ? "reduced"
+                                                 : "incremental";
     std::printf("\nexact checks (exponential; budgets apply; %s engine):\n",
                 engine_name);
     DeadlockCheckOptions dopts;

@@ -16,6 +16,7 @@
 #include <streambuf>
 
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -67,18 +68,18 @@ Options:
   --journal-compact <n>  rewrite the journal from the live cache once it
                      holds <n> more records than the cache has entries
                      (default 256; 0 = compact eagerly)
-  --engine <e>       engine for full certifications: incremental
-                     (default), reference, parallel, or reduced;
-                     incremental recertification always runs on the
-                     incremental engine, where the delta gate lives
+  --engine <e>       search engine: incremental (default; one thread),
+                     parallel, or reduced; the delta-gated incremental
+                     recertification needs full expansion, so a reduced
+                     server runs it on the incremental engine
   --search-threads <k>  worker threads for the parallel and reduced
                      engines (0 = hardware concurrency)
-  --store-encoding <c>  state-store key encoding for full runs on the
-                     parallel/reduced engines: plain (default) or delta;
-                     compact is refused — a verdict cache must never
-                     hold a probabilistic refutation as a certificate
-  --mem-budget-mb <m>  spill search frontiers to disk past <m> MiB on
-                     the parallel/reduced engines (0 = never)
+  --store-encoding <c>  state-store key encoding: plain (default) or
+                     delta; compact is refused — a verdict cache must
+                     never hold a probabilistic refutation as a
+                     certificate
+  --mem-budget-mb <m>  spill search frontiers to disk past <m> MiB
+                     (0 = never)
   --preload <file>   certify <file> at startup and seed the cache with
                      the result (repeatable)
 
@@ -231,8 +232,19 @@ int ServeSocket(Server& server, int port, int sessions) {
                "wydb_serve: listening on 127.0.0.1:%d (%d sessions)\n", port,
                sessions);
   // One session per connection; up to `sessions` more wait in the pool
-  // queue, and TrySubmit failing past that is the shed signal.
+  // queue, and TrySubmit failing past that is the shed signal. Threads
+  // inherit the creating thread's signal mask, so blocking SIGTERM/SIGINT
+  // while the pool spawns its workers keeps them (and the search pools
+  // they start) from taking a drain signal: it must reach this thread,
+  // blocked in accept, or the drain never starts.
+  sigset_t stop_signals;
+  sigset_t previous;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGTERM);
+  sigaddset(&stop_signals, SIGINT);
+  pthread_sigmask(SIG_BLOCK, &stop_signals, &previous);
   TaskPool pool(sessions, static_cast<size_t>(sessions));
+  pthread_sigmask(SIG_SETMASK, &previous, nullptr);
   for (;;) {
     int conn = ::accept(listen_fd, nullptr, nullptr);
     if (conn < 0) {
@@ -324,15 +336,12 @@ int main(int argc, char** argv) {
       const char* name = next("--engine");
       if (!std::strcmp(name, "incremental")) {
         options.engine = SearchEngine::kIncremental;
-      } else if (!std::strcmp(name, "reference")) {
-        options.engine = SearchEngine::kNaiveReference;
       } else if (!std::strcmp(name, "parallel")) {
         options.engine = SearchEngine::kParallelSharded;
       } else if (!std::strcmp(name, "reduced")) {
         options.engine = SearchEngine::kReduced;
       } else {
-        return Fail(
-            "--engine wants incremental, reference, parallel, or reduced");
+        return Fail("--engine wants incremental, parallel, or reduced");
       }
     } else if (!std::strcmp(argv[a], "--search-threads")) {
       options.search_threads =
