@@ -36,10 +36,12 @@ void Analyze(const char* title, const TransactionSystem& sys) {
                 report.status().ToString().c_str());
     return;
   }
-  std::printf("  Theorem 4 verdict: %s (checked %llu interaction cycles)\n",
-              report->safe_and_deadlock_free ? "SAFE + DEADLOCK-FREE"
-                                             : "REFUTED",
-              static_cast<unsigned long long>(report->cycles_checked));
+  std::printf(
+      "  Theorem 4 verdict: %s (visited %llu interaction-graph paths, "
+      "tested %llu cycle variants)\n",
+      report->safe_and_deadlock_free ? "SAFE + DEADLOCK-FREE" : "REFUTED",
+      static_cast<unsigned long long>(report->path_nodes),
+      static_cast<unsigned long long>(report->variants_checked));
   if (!report->safe_and_deadlock_free) {
     const MultiViolation& v = *report->violation;
     if (v.failed_pair) {

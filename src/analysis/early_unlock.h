@@ -21,7 +21,8 @@
 namespace wydb {
 
 struct EarlyUnlockOptions {
-  /// Passed through to the Theorem 4 re-certification.
+  /// Passed through to the Theorem 4 re-certification: the path-node
+  /// budget of each re-run (MultiCheckOptions::max_cycles).
   uint64_t max_cycles = 100'000;
   /// Upper bound on committed hoists (0 = unbounded); a safety valve for
   /// very large systems.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/johnson.h"
 
 namespace wydb {
 
@@ -39,39 +38,6 @@ int UndirectedGraph::CycleSpaceDimension() const {
     }
   }
   return num_edges_ - n + components;
-}
-
-std::vector<std::vector<NodeId>> UndirectedGraph::SimpleCycles(
-    uint64_t max_cycles) const {
-  // Run Johnson on the symmetric digraph; each undirected cycle of length
-  // >= 3 appears exactly twice (once per orientation), and every edge
-  // {u,v} yields the spurious directed 2-cycle u->v->u. Filter and
-  // canonicalize.
-  Digraph sym = ToSymmetricDigraph();
-  std::vector<std::vector<NodeId>> out;
-  CycleEnumOptions opts;
-  // Each kept cycle is seen twice, plus one 2-cycle per edge is discarded.
-  opts.max_cycles = max_cycles == 0
-                        ? 0
-                        : 2 * max_cycles + static_cast<uint64_t>(num_edges_);
-  EnumerateElementaryCycles(sym, opts, [&](const std::vector<NodeId>& c) {
-    if (c.size() < 3) return;
-    // Johnson roots every cycle at its minimal vertex, so c[0] is the
-    // smallest. Keep the orientation whose second vertex is smaller than
-    // the last; the reverse orientation is the duplicate.
-    if (c[1] < c.back()) {
-      if (max_cycles == 0 || out.size() < max_cycles) out.push_back(c);
-    }
-  });
-  return out;
-}
-
-Digraph UndirectedGraph::ToSymmetricDigraph() const {
-  Digraph g(num_nodes());
-  for (NodeId u = 0; u < num_nodes(); ++u) {
-    for (NodeId v : adj_[u]) g.AddArc(u, v);
-  }
-  return g;
 }
 
 }  // namespace wydb

@@ -3,7 +3,6 @@
 #ifndef WYDB_GRAPH_UNDIRECTED_H_
 #define WYDB_GRAPH_UNDIRECTED_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -31,16 +30,6 @@ class UndirectedGraph {
   /// Number of edges in a spanning forest = n - #components; the cycle
   /// space dimension is num_edges() - n + #components.
   int CycleSpaceDimension() const;
-
-  /// All simple cycles as *undirected* vertex sequences (each cycle listed
-  /// once; orientation and rotation normalized to start at the smallest
-  /// vertex and move toward its smaller neighbor). Bounded by
-  /// `max_cycles` (0 = unbounded). Cycles have length >= 3.
-  std::vector<std::vector<NodeId>> SimpleCycles(uint64_t max_cycles = 0) const;
-
-  /// The symmetric digraph (u->v and v->u per edge); handy for reusing
-  /// directed algorithms.
-  Digraph ToSymmetricDigraph() const;
 
  private:
   std::vector<std::vector<NodeId>> adj_;

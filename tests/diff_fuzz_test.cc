@@ -23,9 +23,10 @@
 //     round without deadlocking or aborting, and the simulator's
 //     rounds-bounded session reproduces its exact commit/abort counts.
 //
-// Seeding is deterministic (kBaseSeed + case index) so a run is
-// reproducible; every failure message carries the case seed, and
-// WYDB_DIFF_FUZZ_SEED=<seed> replays exactly that one case:
+// Seeding is deterministic (testutil::kDiffFuzzBaseSeed + case index) so
+// a run is reproducible; every failure message carries the case seed, and
+// WYDB_DIFF_FUZZ_SEED=<seed> replays exactly that one case, in both the
+// X-only and the mixed S/X shape:
 //
 //   WYDB_DIFF_FUZZ_SEED=12345 ./diff_fuzz_test
 #include <gtest/gtest.h>
@@ -35,7 +36,6 @@
 
 #include "analysis/deadlock_checker.h"
 #include "analysis/safety_checker.h"
-#include "common/random.h"
 #include "core/reduction_graph.h"
 #include "core/state_space.h"
 #include "gen/system_gen.h"
@@ -48,28 +48,11 @@
 namespace wydb {
 namespace {
 
-constexpr uint64_t kBaseSeed = 0x5EED0FF1CE5EED01ULL;
-constexpr int kCases = 200;
-
 /// The seed override, or 0 when unset (seeds here are never 0).
 uint64_t SeedOverride() {
   const char* env = std::getenv("WYDB_DIFF_FUZZ_SEED");
   if (env == nullptr) return 0;
   return std::strtoull(env, nullptr, 10);
-}
-
-/// Shapes are drawn from the seed too, so the corpus covers site/txn/
-/// entity mixes without a hand-kept table.
-RandomSystemOptions ShapeFor(uint64_t seed) {
-  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
-  RandomSystemOptions opts;
-  opts.num_sites = 1 + static_cast<int>(rng.NextBelow(3));
-  opts.entities_per_site = 2 + static_cast<int>(rng.NextBelow(2));
-  opts.num_transactions = 2 + static_cast<int>(rng.NextBelow(3));
-  opts.entities_per_txn = 2 + static_cast<int>(rng.NextBelow(2));
-  opts.two_phase = rng.NextBelow(2) == 1;
-  opts.seed = seed;
-  return opts;
 }
 
 /// Replays a kStuckState witness: the schedule must be legal move by move
@@ -359,7 +342,9 @@ void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
   }
 }
 
-void RunCase(uint64_t seed) { RunCaseWithShape(seed, ShapeFor(seed)); }
+void RunCase(uint64_t seed) {
+  RunCaseWithShape(seed, testutil::DiffFuzzShape(seed));
+}
 
 TEST(DiffFuzzTest, EnginesAndTrafficAgreeOnRandomSystems) {
   const uint64_t override_seed = SeedOverride();
@@ -367,8 +352,8 @@ TEST(DiffFuzzTest, EnginesAndTrafficAgreeOnRandomSystems) {
     RunCase(override_seed);
     return;
   }
-  for (int i = 0; i < kCases; ++i) {
-    RunCase(kBaseSeed + static_cast<uint64_t>(i));
+  for (int i = 0; i < testutil::kDiffFuzzCases; ++i) {
+    RunCase(testutil::kDiffFuzzBaseSeed + static_cast<uint64_t>(i));
     if (HasFatalFailure()) return;
   }
 }
@@ -377,20 +362,20 @@ TEST(DiffFuzzTest, EnginesAndTrafficAgreeOnRandomSystems) {
 // system's accesses is shared (drawn from the seed, 20-70%), so the
 // engine-agreement, witness-replay, reduced-determinism, and traffic /
 // live consistency checks all exercise the mode-aware conflict rules.
-// Replay with WYDB_DIFF_FUZZ_SEED picks the X-only corpus; the mixed leg
-// reuses the same per-case machinery with `mixed` shapes, so a mixed
-// failure replays by its printed seed through RunMixedCase below.
+// A mixed failure prints its seed like an X-only one, and the override
+// replays that seed here in the mixed shape.
 void RunMixedCase(uint64_t seed) {
-  RandomSystemOptions opts = ShapeFor(seed);
-  Rng rng(seed ^ 0x5A5A5A5A5A5A5A5AULL);
-  opts.shared_fraction = 0.2 + 0.1 * static_cast<double>(rng.NextBelow(6));
-  RunCaseWithShape(seed, opts);
+  RunCaseWithShape(seed, testutil::DiffFuzzMixedShape(seed));
 }
 
 TEST(DiffFuzzTest, MixedModeEnginesAndTrafficAgree) {
-  if (SeedOverride() != 0) return;  // Override replays the X-only leg.
-  for (int i = 0; i < kCases / 2; ++i) {
-    RunMixedCase(kBaseSeed ^ (0xABCD0000ULL + static_cast<uint64_t>(i)));
+  const uint64_t override_seed = SeedOverride();
+  if (override_seed != 0) {
+    RunMixedCase(override_seed);
+    return;
+  }
+  for (int i = 0; i < testutil::kDiffFuzzCases / 2; ++i) {
+    RunMixedCase(testutil::DiffFuzzMixedSeed(i));
     if (HasFatalFailure()) return;
   }
 }

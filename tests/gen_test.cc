@@ -6,6 +6,7 @@
 #include "analysis/safety_checker.h"
 #include "gen/system_gen.h"
 #include "gen/txn_gen.h"
+#include "tests/johnson.h"
 
 namespace wydb {
 namespace {
@@ -145,7 +146,7 @@ TEST(SystemGenTest, ChordedCycleIncreasesCycleCount) {
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(chorded.ok());
   auto cycles_of = [](const TransactionSystem& sys) {
-    return sys.InteractionGraph().SimpleCycles().size();
+    return SimpleCycles(sys.InteractionGraph()).size();
   };
   EXPECT_EQ(cycles_of(*plain->system), 1u);
   EXPECT_GT(cycles_of(*chorded->system), 1u);

@@ -7,8 +7,8 @@
 
 #include "common/random.h"
 #include "graph/algorithms.h"
-#include "graph/johnson.h"
-#include "graph/tarjan.h"
+#include "tests/johnson.h"
+#include "tests/tarjan.h"
 
 namespace wydb {
 namespace {

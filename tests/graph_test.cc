@@ -7,9 +7,9 @@
 
 #include "graph/algorithms.h"
 #include "graph/digraph.h"
-#include "graph/johnson.h"
-#include "graph/tarjan.h"
 #include "graph/undirected.h"
+#include "tests/johnson.h"
+#include "tests/tarjan.h"
 
 namespace wydb {
 namespace {
@@ -257,7 +257,7 @@ TEST(UndirectedTest, TriangleHasOneSimpleCycle) {
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
   g.AddEdge(2, 0);
-  auto cycles = g.SimpleCycles();
+  auto cycles = SimpleCycles(g);
   ASSERT_EQ(cycles.size(), 1u);
   EXPECT_EQ(cycles[0].size(), 3u);
 }
@@ -269,7 +269,7 @@ TEST(UndirectedTest, CompleteGraphCycleCounts) {
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) g.AddEdge(i, j);
     }
-    EXPECT_EQ(g.SimpleCycles().size(), expected) << "n=" << n;
+    EXPECT_EQ(SimpleCycles(g).size(), expected) << "n=" << n;
   }
 }
 
@@ -277,7 +277,7 @@ TEST(UndirectedTest, CyclesAreClosedWalks) {
   UndirectedGraph g(5);
   for (int i = 0; i < 5; ++i) g.AddEdge(i, (i + 1) % 5);
   g.AddEdge(0, 2);
-  for (const auto& cycle : g.SimpleCycles()) {
+  for (const auto& cycle : SimpleCycles(g)) {
     ASSERT_GE(cycle.size(), 3u);
     for (size_t i = 0; i < cycle.size(); ++i) {
       EXPECT_TRUE(g.HasEdge(cycle[i], cycle[(i + 1) % cycle.size()]));

@@ -1,8 +1,8 @@
-#include "graph/johnson.h"
+#include "tests/johnson.h"
 
 #include <algorithm>
 
-#include "graph/tarjan.h"
+#include "tests/tarjan.h"
 
 namespace wydb {
 namespace {
@@ -136,6 +136,34 @@ std::vector<std::vector<NodeId>> AllElementaryCycles(
       g, options,
       [&](const std::vector<NodeId>& c) { cycles.push_back(c); });
   return cycles;
+}
+
+std::vector<std::vector<NodeId>> SimpleCycles(const UndirectedGraph& g,
+                                              uint64_t max_cycles) {
+  // Run Johnson on the symmetric digraph; each undirected cycle of length
+  // >= 3 appears exactly twice (once per orientation), and every edge
+  // {u,v} yields the spurious directed 2-cycle u->v->u. Filter and
+  // canonicalize.
+  Digraph sym(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v : g.Neighbors(u)) sym.AddArc(u, v);
+  }
+  std::vector<std::vector<NodeId>> out;
+  CycleEnumOptions opts;
+  // Each kept cycle is seen twice, plus one 2-cycle per edge is discarded.
+  opts.max_cycles = max_cycles == 0
+                        ? 0
+                        : 2 * max_cycles + static_cast<uint64_t>(g.num_edges());
+  EnumerateElementaryCycles(sym, opts, [&](const std::vector<NodeId>& c) {
+    if (c.size() < 3) return;
+    // Johnson roots every cycle at its minimal vertex, so c[0] is the
+    // smallest. Keep the orientation whose second vertex is smaller than
+    // the last; the reverse orientation is the duplicate.
+    if (c[1] < c.back()) {
+      if (max_cycles == 0 || out.size() < max_cycles) out.push_back(c);
+    }
+  });
+  return out;
 }
 
 }  // namespace wydb

@@ -1,12 +1,16 @@
-// Johnson's algorithm: enumerate all elementary (simple) directed cycles.
-#ifndef WYDB_GRAPH_JOHNSON_H_
-#define WYDB_GRAPH_JOHNSON_H_
+// Johnson's algorithm: enumerate all elementary (simple) directed cycles,
+// and the undirected simple-cycle lister built on it. Part of the test
+// oracle: the list-then-test Theorem 4 analyzer (tests/reference_search.h)
+// enumerates interaction-graph cycles with SimpleCycles.
+#ifndef WYDB_TESTS_JOHNSON_H_
+#define WYDB_TESTS_JOHNSON_H_
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "graph/digraph.h"
+#include "graph/undirected.h"
 
 namespace wydb {
 
@@ -31,6 +35,13 @@ uint64_t EnumerateElementaryCycles(
 std::vector<std::vector<NodeId>> AllElementaryCycles(
     const Digraph& g, const CycleEnumOptions& options = {});
 
+/// All simple cycles of `g` as *undirected* vertex sequences (each cycle
+/// listed once; orientation and rotation normalized to start at the
+/// smallest vertex and move toward its smaller neighbor). Bounded by
+/// `max_cycles` (0 = unbounded). Cycles have length >= 3.
+std::vector<std::vector<NodeId>> SimpleCycles(const UndirectedGraph& g,
+                                              uint64_t max_cycles = 0);
+
 }  // namespace wydb
 
-#endif  // WYDB_GRAPH_JOHNSON_H_
+#endif  // WYDB_TESTS_JOHNSON_H_

@@ -1,4 +1,4 @@
-#include "graph/tarjan.h"
+#include "tests/tarjan.h"
 
 #include <algorithm>
 

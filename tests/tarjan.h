@@ -1,6 +1,7 @@
-// Tarjan strongly-connected components.
-#ifndef WYDB_GRAPH_TARJAN_H_
-#define WYDB_GRAPH_TARJAN_H_
+// Tarjan strongly-connected components: the SCC step of Johnson's cycle
+// enumeration (tests/johnson.h), kept beside it in the test oracle.
+#ifndef WYDB_TESTS_TARJAN_H_
+#define WYDB_TESTS_TARJAN_H_
 
 #include <vector>
 
@@ -26,4 +27,4 @@ SccResult StronglyConnectedComponents(const Digraph& g);
 
 }  // namespace wydb
 
-#endif  // WYDB_GRAPH_TARJAN_H_
+#endif  // WYDB_TESTS_TARJAN_H_

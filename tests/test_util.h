@@ -2,14 +2,17 @@
 #ifndef WYDB_TESTS_TEST_UTIL_H_
 #define WYDB_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/database.h"
 #include "core/system.h"
 #include "core/transaction.h"
 #include "core/transaction_builder.h"
+#include "gen/system_gen.h"
 
 namespace wydb {
 namespace testutil {
@@ -99,6 +102,39 @@ inline TransactionSystem DemoteToX(const TransactionSystem& sys) {
     txns.push_back(std::move(*nt));
   }
   return MakeSystem(&sys.db(), std::move(txns));
+}
+
+/// The diff_fuzz corpus (tests/diff_fuzz_test.cc). X-only case i is
+/// DiffFuzzShape(kDiffFuzzBaseSeed + i) for i < kDiffFuzzCases; mixed S/X
+/// case i is DiffFuzzMixedShape(DiffFuzzMixedSeed(i)) for
+/// i < kDiffFuzzCases / 2.
+constexpr uint64_t kDiffFuzzBaseSeed = 0x5EED0FF1CE5EED01ULL;
+constexpr int kDiffFuzzCases = 200;
+
+inline uint64_t DiffFuzzMixedSeed(int i) {
+  return kDiffFuzzBaseSeed ^ (0xABCD0000ULL + static_cast<uint64_t>(i));
+}
+
+/// Shapes are drawn from the seed too, so the corpus covers site/txn/
+/// entity mixes without a hand-kept table.
+inline RandomSystemOptions DiffFuzzShape(uint64_t seed) {
+  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 1);
+  RandomSystemOptions opts;
+  opts.num_sites = 1 + static_cast<int>(rng.NextBelow(3));
+  opts.entities_per_site = 2 + static_cast<int>(rng.NextBelow(2));
+  opts.num_transactions = 2 + static_cast<int>(rng.NextBelow(3));
+  opts.entities_per_txn = 2 + static_cast<int>(rng.NextBelow(2));
+  opts.two_phase = rng.NextBelow(2) == 1;
+  opts.seed = seed;
+  return opts;
+}
+
+/// The same shape with a shared fraction drawn from the seed (20-70%).
+inline RandomSystemOptions DiffFuzzMixedShape(uint64_t seed) {
+  RandomSystemOptions opts = DiffFuzzShape(seed);
+  Rng rng(seed ^ 0x5A5A5A5A5A5A5A5AULL);
+  opts.shared_fraction = 0.2 + 0.1 * static_cast<double>(rng.NextBelow(6));
+  return opts;
 }
 
 }  // namespace testutil

@@ -14,8 +14,10 @@
    silently succeed. The `run` subcommand additionally enforces the
    fast-path gate: `--no-detection` on a workload that Theorem 4 does
    not certify safe + deadlock-free is refused (exit 2, "not certified"
-   on stderr), while a certified workload runs it and prints exactly one
-   deterministic `result:` line at MPL 1.
+   on stderr), and so is a certified workload with an entity locked
+   shared by one transaction and exclusive by another (the FIFO gap of
+   DESIGN.md §11.5), while any other certified workload runs it and
+   prints exactly one deterministic `result:` line at MPL 1.
 4. Server smoke: `wydb_serve` flag misuse exits 2 with usage on stderr
    (including the compact-encoding refusal), and a short scripted
    stdin/stdout session exercises the line protocol: certify, exact
@@ -122,18 +124,27 @@ STATS_LINE_RE = re.compile(
     re.MULTILINE,
 )
 
-# The deterministic `run` result line. The certified workload has 3
-# transactions, so --mpl 1 --rounds 5 commits exactly 15 times with no
-# aborts, on the live engine and the simulator alike (MPL-1 determinism
-# is part of the live engine's contract).
-LIVE_RESULT_RE = re.compile(
-    r"^result: engine=live policy=block commits=15 aborts=0"
-    r" abort_rate=0\.000 deadlocked=0 gave_up=0$",
-    re.MULTILINE,
-)
-SIM_RESULT_RE = re.compile(
-    r"^result: engine=sim policy=block commits=15 aborts=0"
-    r" abort_rate=0\.000 deadlocked=0 gave_up=0$",
+# The deterministic `run` result line of a clean blocking run.
+def result_re(engine: str, commits: int) -> re.Pattern:
+    return re.compile(
+        rf"^result: engine={engine} policy=block commits={commits} aborts=0"
+        r" abort_rate=0\.000 deadlocked=0 gave_up=0$",
+        re.MULTILINE,
+    )
+
+
+# The certified workload has 3 transactions, so --mpl 1 --rounds 5
+# commits exactly 15 times with no aborts, on the live engine and the
+# simulator alike (MPL-1 determinism is part of the live engine's
+# contract).
+LIVE_RESULT_RE = result_re("live", 15)
+SIM_RESULT_RE = result_re("sim", 15)
+# The 16-worker read-mostly farm commits 16 x 5 rounds.
+LIVE_RESULT_16_RE = result_re("live", 80)
+
+# The FIFO-gap workload deadlocks in the simulator under pure blocking.
+FIFO_GAP_DEADLOCK_RE = re.compile(
+    r"^result: engine=sim policy=block .* deadlocked=1 gave_up=0$",
     re.MULTILINE,
 )
 
@@ -164,6 +175,8 @@ def check_cli_smoke(binary: Path) -> list[str]:
     sample = REPO / "tools" / "sample_workload.wydb"
     certified = REPO / "tools" / "certified_workload.wydb"
     shared = REPO / "tools" / "shared_workload.wydb"
+    read_mostly16 = REPO / "tools" / "read_mostly16.wydb"
+    fifo_gap = REPO / "tools" / "fifo_gap.wydb"
     # (args, want_code, want_stderr_substring, want_stdout_match)
     # where want_stdout_match is None or a (regex, expected_count) pair.
     # The sample workload is REFUTED, so plain analysis exits 1.
@@ -254,6 +267,21 @@ def check_cli_smoke(binary: Path) -> list[str]:
           "--rounds", "5"], 0, None, (SIM_RESULT_RE, 1)),
         (["run", str(shared), "--engine", "sim", "--policy", "block",
           "--rounds", "5"], 0, None, (SHARED_PERF_RE, 1)),
+        # A 16-worker farm over a complete interaction graph: the
+        # Theorem 4 path search certifies it, so the fast path runs.
+        ([str(read_mostly16)], 0, None, None),
+        (["run", str(read_mostly16), "--no-detection", "--mpl", "1",
+          "--rounds", "5"], 0, None, (LIVE_RESULT_16_RE, 1)),
+        # The FIFO gap (DESIGN.md §11.5): certified, yet the lock table
+        # queues S behind a queued X, so pure blocking can deadlock. The
+        # gate refuses its mixed-mode entities, and the simulator shows
+        # the deadlock.
+        ([str(fifo_gap)], 0, None, None),
+        (["run", str(fifo_gap), "--no-detection"], 2,
+         "is locked shared by", None),
+        (["run", str(fifo_gap), "--engine", "sim", "--policy", "block",
+          "--rounds", "3", "--seed", "7"], 1, None,
+         (FIFO_GAP_DEADLOCK_RE, 1)),
         # The generated read-mostly farm: misuse of the sweep knobs exits
         # 2 with a named complaint before any session runs...
         (["sweep", "--gen"], 2, "needs a value", None),

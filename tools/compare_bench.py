@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Benchmark perf-regression guard: diff two BENCH_statespace.json files.
+"""Benchmark perf-regression guard: diff two google-benchmark JSON files.
 
 Compares a candidate google-benchmark JSON dump against a baseline and
 fails (exit 1) when the *geomean* ratio candidate/baseline over all
@@ -32,15 +32,24 @@ in seconds) and fails the run with exit 2 before anything is compared.
 Geomeans are used so one noisy series cannot hide a broad regression —
 or fail the run on its own.
 
+Both files must carry a top-level `host` block (written by
+tools/stamp_bench_host.py, in the format of e2ebench/run.py's `host`
+line), and the two blocks must agree on nproc, build_type, compiler and
+kernel: wall-clock rows from different hosts or builds are not
+comparable. A missing or mismatched block exits 2 before anything is
+compared; git_head may differ.
+
 Usage:
   tools/compare_bench.py BASELINE.json CANDIDATE.json [--threshold 0.15]
 
 CI runs this as an *advisory* job (continue-on-error) against the
-committed baseline, since hosted-runner hardware differs from the
-recording host; run it locally on one machine for a binding check:
+committed baseline; a hosted runner is not the recording host, so there
+it reports the host mismatch. Run it locally on the recording host for a
+binding check:
 
   ./build/bench_statespace --benchmark_out=new.json \
       --benchmark_out_format=json
+  python3 tools/stamp_bench_host.py build new.json
   python3 tools/compare_bench.py BENCH_statespace.json new.json
 """
 
@@ -62,20 +71,35 @@ METRICS = {
 }
 
 
-def load_rows(path: str) -> dict[str, dict]:
+# Host fields two comparable files must share (as e2ebench/compare.py).
+HOST_KEYS = ("nproc", "build_type", "compiler", "kernel")
+
+
+def load(path: str) -> tuple[dict | None, dict[str, dict]]:
+    """Returns (host block or None, rows by name)."""
     with open(path) as f:
         data = json.load(f)
     rows = {}
-    # Raw google-benchmark output keeps rows under "benchmarks"; the
-    # hand-curated BENCH_runtime.json baseline keeps its live-engine
-    # rows (google-benchmark shaped) under "live_series".
-    for row in data.get("benchmarks", []) + data.get("live_series", []):
+    for row in data.get("benchmarks", []):
         if row.get("run_type") == "aggregate":
             continue
         if row.get("error_occurred"):
             continue
         rows[row["name"]] = row
-    return rows
+    return data.get("host"), rows
+
+
+def host_errors(base_path: str, base_host, cand_path: str,
+                cand_host) -> list[str]:
+    errors = [f"{path}: no host block (tools/stamp_bench_host.py writes it)"
+              for path, host in ((base_path, base_host),
+                                 (cand_path, cand_host))
+              if not isinstance(host, dict)]
+    if errors:
+        return errors
+    return [f"host {key} differs: {base_host.get(key)!r} vs "
+            f"{cand_host.get(key)!r}"
+            for key in HOST_KEYS if base_host.get(key) != cand_host.get(key)]
 
 
 def unit_errors(path: str, rows: dict[str, dict]) -> list[str]:
@@ -117,9 +141,11 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    base = load_rows(args.baseline)
-    cand = load_rows(args.candidate)
-    errors = unit_errors(args.baseline, base) + unit_errors(args.candidate, cand)
+    base_host, base = load(args.baseline)
+    cand_host, cand = load(args.candidate)
+    errors = host_errors(args.baseline, base_host, args.candidate, cand_host)
+    errors += unit_errors(args.baseline, base) + unit_errors(args.candidate,
+                                                            cand)
     if errors:
         for line in errors:
             print(f"compare_bench: {line}", file=sys.stderr)
