@@ -31,10 +31,12 @@ std::optional<std::vector<NodeId>> TopologicalSort(const Digraph& g) {
 
 bool HasCycle(const Digraph& g) { return !TopologicalSort(g).has_value(); }
 
-std::vector<NodeId> FindCycle(const Digraph& g) {
+std::vector<NodeId> FindCycle(const Digraph& g,
+                              const std::vector<NodeId>& removed) {
   const int n = g.num_nodes();
-  // Colors: 0 = white, 1 = on stack, 2 = done.
+  // Colors: 0 = white, 1 = on stack, 2 = done (a removed node starts so).
   std::vector<int> color(n, 0);
+  for (NodeId v : removed) color[v] = 2;
   std::vector<NodeId> parent(n, kInvalidNode);
   std::vector<NodeId> cycle;
 

@@ -48,9 +48,10 @@ std::optional<std::vector<NodeId>> TopologicalSort(const Digraph& g);
 /// True iff `g` contains a directed cycle.
 bool HasCycle(const Digraph& g);
 
-/// Some directed cycle of `g` as a node sequence (first node not repeated),
-/// or empty vector if acyclic.
-std::vector<NodeId> FindCycle(const Digraph& g);
+/// Some directed cycle of `g` through none of the `removed` nodes, as a
+/// node sequence (first node not repeated), or empty vector if none.
+std::vector<NodeId> FindCycle(const Digraph& g,
+                              const std::vector<NodeId>& removed = {});
 
 /// Transitive closure of a DAG via reverse topological DP.
 /// Requires `g` acyclic (asserts in debug builds).

@@ -9,6 +9,8 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "graph/algorithms.h"
+#include "graph/digraph.h"
 #include "runtime/striped_lock_manager.h"
 #include "runtime/txn_runtime.h"
 
@@ -211,9 +213,11 @@ class LiveEngine {
   // Deadlock watchdog: under a blocking policy a wedged session makes no
   // progress at all — commits, aborts and lock ops all freeze while
   // waiters sit parked. Two consecutive frozen intervals with parked
-  // waiters declare deadlock. This is the harness's safety net for
-  // UNCERTIFIED systems; it reads three counters per interval and adds
-  // zero work to any lock operation.
+  // waiters AND a cycle in the wait-for snapshot declare deadlock; frozen
+  // waiters without a cycle are a stall (a holder dwelling, or a starved
+  // thread on a loaded host), so the strikes reset and the watch goes on.
+  // This is the harness's safety net for UNCERTIFIED systems; it reads
+  // three counters per interval and adds zero work to any lock operation.
   void Watchdog() {
     uint64_t last_progress = ProgressCounter();
     int strikes = 0;
@@ -228,15 +232,21 @@ class LiveEngine {
         strikes = 0;
         continue;
       }
-      if (mgr_.TotalWaiters() == 0) {
+      // Every parked waiter has at least one wait-for edge.
+      const std::vector<StripedLockManager::WaitEdge> edges =
+          mgr_.WaitForEdges();
+      if (edges.empty()) {
         strikes = 0;
         continue;
       }
       if (++strikes < 2) continue;
-      // Frozen twice in a row with parked waiters: circular wait.
-      for (const StripedLockManager::WaitEdge& e : mgr_.WaitForEdges()) {
-        blocked_txns_.push_back(e.waiter);
+      Digraph wait_for(num_txns_);
+      for (const auto& e : edges) wait_for.AddArc(e.waiter, e.holder);
+      if (FindCycle(wait_for).empty()) {
+        strikes = 0;
+        continue;
       }
+      for (const auto& e : edges) blocked_txns_.push_back(e.waiter);
       std::sort(blocked_txns_.begin(), blocked_txns_.end());
       blocked_txns_.erase(
           std::unique(blocked_txns_.begin(), blocked_txns_.end()),

@@ -12,10 +12,10 @@
 // safe+DF by the static analyzer (Theorem 4) runs under ConflictPolicy::
 // kBlock — pure parking, no timestamps, no timeout scans, no wait-for
 // graphs — and cannot deadlock. Uncertified systems run under kBlock only
-// behind the engine's watchdog, which detects global non-progress and
-// stops the run with `deadlocked = true` (the watchdog is a test/CLI
-// harness, not detection machinery: it costs one counter read per
-// interval, nothing per lock op).
+// behind the engine's watchdog, which stops the run with `deadlocked =
+// true` once progress has frozen with a wait-for cycle (the watchdog is a
+// test/CLI harness, not detection machinery: it costs one counter read
+// per interval, nothing per lock op).
 #ifndef WYDB_RUNTIME_LIVE_ENGINE_H_
 #define WYDB_RUNTIME_LIVE_ENGINE_H_
 
@@ -65,7 +65,8 @@ struct LiveOptions {
   /// up, ending the session.
   int max_restarts = 10'000;
   /// Watchdog progress-check period. Two consecutive checks with zero
-  /// progress and parked waiters declare deadlock and stop the run.
+  /// progress and parked waiters, plus a cycle in the wait-for snapshot,
+  /// declare deadlock and stop the run.
   int64_t watchdog_interval_ms = 250;
   /// StripedLockManager stripe count (0 = auto).
   int num_stripes = 0;
@@ -76,7 +77,7 @@ struct LiveOptions {
 struct LiveResult {
   /// Session ended by its bound (rounds done or duration elapsed).
   bool completed = false;
-  /// Watchdog saw sustained non-progress with parked waiters.
+  /// Watchdog saw sustained non-progress with a wait-for cycle.
   bool deadlocked = false;
   /// Some transaction exceeded max_restarts.
   bool gave_up = false;

@@ -16,8 +16,7 @@ void LockManager::Touch(EntityId entity) {
   }
 }
 
-int32_t LockManager::AllocWaiter(int txn, int32_t node, int32_t attempt,
-                                 LockMode mode, bool upgrade) {
+int32_t LockManager::AllocWaiter(const Waiter& w) {
   int32_t idx;
   if (free_head_ != -1) {
     idx = free_head_;
@@ -26,7 +25,8 @@ int32_t LockManager::AllocWaiter(int txn, int32_t node, int32_t attempt,
     idx = static_cast<int32_t>(pool_.size());
     pool_.emplace_back();
   }
-  pool_[idx] = Waiter{txn, node, attempt, -1, mode, upgrade};
+  pool_[idx] = w;
+  pool_[idx].next = -1;
   return idx;
 }
 
@@ -41,8 +41,13 @@ size_t LockManager::free_waiter_count() const {
   return count;
 }
 
+void LockManager::Unlink(LockState& state, int32_t prev, int32_t idx) {
+  (prev == -1 ? state.head : pool_[prev].next) = pool_[idx].next;
+  if (state.tail == idx) state.tail = prev;
+}
+
 void LockManager::AddSharer(LockState& state, int txn) {
-  int32_t idx = AllocWaiter(txn, -1, 0, LockMode::kShared, false);
+  int32_t idx = AllocWaiter(Waiter{txn, -1, 0, -1, LockMode::kShared, false});
   pool_[idx].next = state.sharer_head;
   state.sharer_head = idx;
 }
@@ -51,11 +56,7 @@ bool LockManager::RemoveSharer(LockState& state, int txn) {
   int32_t prev = -1;
   for (int32_t s = state.sharer_head; s != -1; s = pool_[s].next) {
     if (pool_[s].txn == txn) {
-      if (prev == -1) {
-        state.sharer_head = pool_[s].next;
-      } else {
-        pool_[prev].next = pool_[s].next;
-      }
+      (prev == -1 ? state.sharer_head : pool_[prev].next) = pool_[s].next;
       FreeWaiter(s);
       return true;
     }
@@ -76,15 +77,38 @@ bool LockManager::SoleSharerIs(const LockState& state, int txn) const {
          pool_[state.sharer_head].next == -1;
 }
 
-void LockManager::EmitGrant(EntityId entity, const Waiter& w) {
+bool LockManager::Grantable(const LockState& state, const Waiter& w) const {
+  if (state.holder != -1) return false;
+  if (w.upgrade) return SoleSharerIs(state, w.txn);
+  return w.mode == LockMode::kShared || state.sharer_head == -1;
+}
+
+void LockManager::Grant(EntityId entity, const Waiter& w) {
+  LockState& state = table_[entity];
+  if (w.upgrade) {
+    RemoveSharer(state, w.txn);
+    state.holder = w.txn;
+    ++upgrades_;
+  } else if (w.mode == LockMode::kShared) {
+    AddSharer(state, w.txn);
+    ++shared_grants_;
+  } else {
+    state.holder = w.txn;
+  }
   ++grants_;
-  out_->push_back(LockEvent{LockEvent::Kind::kGrant, site_, w.txn, entity,
-                            w.node, w.attempt, -1});
+  out_->push_back(LockEvent{LockEvent::Kind::kGrant, w.upgrade, site_, w.txn,
+                            entity, w.node, w.attempt, -1});
 }
 
 void LockManager::EmitBlock(EntityId entity, int32_t txn, int32_t holder) {
-  out_->push_back(
-      LockEvent{LockEvent::Kind::kBlock, site_, txn, entity, -1, 0, holder});
+  out_->push_back(LockEvent{LockEvent::Kind::kBlock, false, site_, txn,
+                            entity, -1, 0, holder});
+}
+
+void LockManager::EmitBlocksAgainst(EntityId entity, int32_t txn) {
+  for (int32_t w = table_[entity].head; w != -1; w = pool_[w].next) {
+    if (pool_[w].txn != txn) EmitBlock(entity, pool_[w].txn, txn);
+  }
 }
 
 void LockManager::EmitBlocksAgainstHolders(EntityId entity, int32_t txn) {
@@ -102,44 +126,25 @@ void LockManager::Request(int txn, EntityId entity, LockMode mode,
                           int32_t node, int32_t attempt) {
   Touch(entity);
   LockState& state = table_[entity];
-
-  if (mode == LockMode::kExclusive && IsSharer(state, txn)) {
-    // S->X upgrade. Immediate if txn is the only sharer; otherwise it
-    // keeps its shared hold and queues at the HEAD: granting any later
-    // waiter first could never let the upgrade through, and two queued
-    // upgrades on one entity are a genuine deadlock the caller resolves.
-    if (state.holder == -1 && SoleSharerIs(state, txn)) {
-      RemoveSharer(state, txn);
-      state.holder = txn;
-      ++upgrades_;
-      EmitGrant(entity, Waiter{txn, node, attempt, -1, mode, false});
-      return;
-    }
-    int32_t idx = AllocWaiter(txn, node, attempt, mode, /*upgrade=*/true);
+  const bool upgrade = mode == LockMode::kExclusive && IsSharer(state, txn);
+  const Waiter w{txn, node, attempt, -1, mode, upgrade};
+  if (Grantable(state, w)) {
+    Grant(entity, w);
+    // A shared grant can pass queued requests: each is an X or upgrade
+    // request, so it now waits on the new sharer too. Without these
+    // records a timestamp policy never learns of that edge.
+    if (mode == LockMode::kShared) EmitBlocksAgainst(entity, txn);
+    return;
+  }
+  const int32_t idx = AllocWaiter(w);
+  if (w.upgrade) {
+    // The upgrade keeps its shared hold and queues at the HEAD: no later
+    // X waiter can be granted before it anyway, and two queued upgrades
+    // on one entity are a genuine deadlock the caller resolves.
     pool_[idx].next = state.head;
     state.head = idx;
     if (state.tail == -1) state.tail = idx;
-    EmitBlocksAgainstHolders(entity, txn);
-    return;
-  }
-
-  // FIFO fairness: even a compatible shared request queues behind queued
-  // waiters, so a stream of readers cannot starve a writer.
-  const bool grantable =
-      state.head == -1 && state.holder == -1 &&
-      (mode == LockMode::kShared || state.sharer_head == -1);
-  if (grantable) {
-    if (mode == LockMode::kShared) {
-      AddSharer(state, txn);
-      ++shared_grants_;
-    } else {
-      state.holder = txn;
-    }
-    EmitGrant(entity, Waiter{txn, node, attempt, -1, mode, false});
-    return;
-  }
-  int32_t idx = AllocWaiter(txn, node, attempt, mode, /*upgrade=*/false);
-  if (state.tail == -1) {
+  } else if (state.tail == -1) {
     state.head = state.tail = idx;
   } else {
     pool_[state.tail].next = idx;
@@ -148,55 +153,32 @@ void LockManager::Request(int txn, EntityId entity, LockMode mode,
   EmitBlocksAgainstHolders(entity, txn);
 }
 
-void LockManager::Release(int txn, EntityId entity) {
+bool LockManager::Release(int txn, EntityId entity) {
   LockState& state = table_[entity];
   if (state.holder == txn) {
     state.holder = -1;
-    GrantHead(entity);
-    return;
+  } else if (!RemoveSharer(state, txn)) {
+    return false;
   }
-  if (RemoveSharer(state, txn)) GrantHead(entity);
+  GrantWaiters(entity);
+  return true;
 }
 
-void LockManager::GrantHead(EntityId entity) {
+void LockManager::GrantWaiters(EntityId entity) {
   LockState& state = table_[entity];
   bool granted_any = false;
-  while (state.head != -1) {
-    const int32_t idx = state.head;
-    const Waiter& w = pool_[idx];
-    if (w.upgrade) {
-      // Promotable only once every other sharer is gone.
-      if (state.holder != -1 || !SoleSharerIs(state, w.txn)) break;
-      state.head = w.next;
-      if (state.head == -1) state.tail = -1;
-      RemoveSharer(state, pool_[idx].txn);
-      state.holder = pool_[idx].txn;
-      ++upgrades_;
-      EmitGrant(entity, pool_[idx]);
+  // Once an X hold is granted, nothing further is compatible.
+  for (int32_t prev = -1, idx = state.head; idx != -1 && state.holder == -1;) {
+    const Waiter w = pool_[idx];
+    if (!Grantable(state, w)) {
+      prev = idx;
+    } else {
+      Unlink(state, prev, idx);
       FreeWaiter(idx);
+      Grant(entity, w);
       granted_any = true;
-      break;  // Exclusive now: nothing further is grantable.
     }
-    if (w.mode == LockMode::kExclusive) {
-      if (state.holder != -1 || state.sharer_head != -1) break;
-      state.head = w.next;
-      if (state.head == -1) state.tail = -1;
-      state.holder = pool_[idx].txn;
-      EmitGrant(entity, pool_[idx]);
-      FreeWaiter(idx);
-      granted_any = true;
-      break;
-    }
-    // Shared: compatible with existing sharers; batch the consecutive
-    // shared prefix of the queue in one go.
-    if (state.holder != -1) break;
-    state.head = w.next;
-    if (state.head == -1) state.tail = -1;
-    AddSharer(state, pool_[idx].txn);
-    ++shared_grants_;
-    EmitGrant(entity, pool_[idx]);
-    FreeWaiter(idx);
-    granted_any = true;
+    idx = w.next;
   }
   if (!granted_any) return;
   // Holdership changed: re-emit block records for the remaining waiters so
@@ -209,37 +191,28 @@ void LockManager::GrantHead(EntityId entity) {
   }
 }
 
+bool LockManager::Cancel(int txn, EntityId entity) {
+  LockState& state = table_[entity];
+  bool upgrade = false;
+  for (int32_t prev = -1, w = state.head; w != -1;) {
+    const int32_t next = pool_[w].next;
+    if (pool_[w].txn == txn) {
+      upgrade |= pool_[w].upgrade;
+      Unlink(state, prev, w);
+      FreeWaiter(w);
+    } else {
+      prev = w;
+    }
+    w = next;
+  }
+  upgrade_aborts_ += upgrade;
+  return upgrade;
+}
+
 void LockManager::Abort(int txn) {
   for (EntityId entity : touched_) {
-    LockState& state = table_[entity];
-    bool changed = false;
-    int32_t prev = -1;
-    for (int32_t w = state.head; w != -1;) {
-      int32_t next = pool_[w].next;
-      if (pool_[w].txn == txn) {
-        if (pool_[w].upgrade) ++upgrade_aborts_;
-        if (prev == -1) {
-          state.head = next;
-        } else {
-          pool_[prev].next = next;
-        }
-        if (state.tail == w) state.tail = prev;
-        FreeWaiter(w);
-        changed = true;
-      } else {
-        prev = w;
-      }
-      w = next;
-    }
-    if (RemoveSharer(state, txn)) changed = true;
-    if (state.holder == txn) {
-      state.holder = -1;
-      changed = true;
-    }
-    // Any removal can unblock the head (e.g. dropping a queued X exposes
-    // a grantable shared batch, or dropping a sharer promotes an
-    // upgrade). GrantHead is a no-op when nothing is grantable.
-    if (changed) GrantHead(entity);
+    Cancel(txn, entity);
+    Release(txn, entity);
   }
 }
 
@@ -258,9 +231,7 @@ int LockManager::SharerCountOf(EntityId entity) const {
 
 bool LockManager::IsWaiting(int txn) const {
   for (EntityId entity : touched_) {
-    for (int32_t w = table_[entity].head; w != -1; w = pool_[w].next) {
-      if (pool_[w].txn == txn) return true;
-    }
+    if (IsWaitingOn(txn, entity)) return true;
   }
   return false;
 }
@@ -282,15 +253,16 @@ void LockManager::AppendWaitForEdges(std::vector<WaitEdge>* out) const {
   for (EntityId entity : touched_) {
     const LockState& state = table_[entity];
     for (int32_t w = state.head; w != -1; w = pool_[w].next) {
+      const int waiter = pool_[w].txn;
       if (state.holder != -1) {
-        if (state.holder != pool_[w].txn) {
-          out->push_back(WaitEdge{pool_[w].txn, state.holder, entity});
+        if (state.holder != waiter) {
+          out->push_back(WaitEdge{waiter, state.holder, entity});
         }
         continue;
       }
       for (int32_t s = state.sharer_head; s != -1; s = pool_[s].next) {
-        if (pool_[s].txn != pool_[w].txn) {
-          out->push_back(WaitEdge{pool_[w].txn, pool_[s].txn, entity});
+        if (pool_[s].txn != waiter) {
+          out->push_back(WaitEdge{waiter, pool_[s].txn, entity});
         }
       }
     }

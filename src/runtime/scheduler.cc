@@ -1,5 +1,7 @@
 #include "runtime/scheduler.h"
 
+#include "graph/algorithms.h"
+
 namespace wydb {
 
 const char* ConflictPolicyName(ConflictPolicy policy) {
@@ -44,6 +46,20 @@ ConflictAction ResolveConflict(ConflictPolicy policy, uint64_t ts_requester,
                                       : ConflictAction::kAbortRequester;
   }
   return ConflictAction::kWait;
+}
+
+std::vector<NodeId> DeadlockVictims(const Digraph& wait_for,
+                                    const std::vector<uint64_t>& timestamp) {
+  std::vector<NodeId> victims;
+  for (std::vector<NodeId> cycle = FindCycle(wait_for); !cycle.empty();
+       cycle = FindCycle(wait_for, victims)) {
+    NodeId victim = cycle.front();
+    for (NodeId t : cycle) {
+      if (timestamp[t] > timestamp[victim]) victim = t;
+    }
+    victims.push_back(victim);
+  }
+  return victims;
 }
 
 }  // namespace wydb

@@ -391,22 +391,19 @@ std::vector<int> SimEngine::IncompleteTxns() const {
 }
 
 // Global wait-for cycle detection at quiescence; aborts the youngest
-// transaction on a cycle. Returns true if it made progress.
+// transaction on each cycle. Returns true if it made progress.
 bool SimEngine::DetectAndResolve() {
   ++result_.detector_runs;
   Digraph wait_for(sys_.num_transactions());
   std::vector<LockManager::WaitEdge> edges;
   for (const LockManager& site : sites_) site.AppendWaitForEdges(&edges);
   for (const auto& edge : edges) wait_for.AddArc(edge.waiter, edge.holder);
-  std::vector<NodeId> cycle = FindCycle(wait_for);
-  if (cycle.empty()) return false;
-  int victim = cycle[0];
-  for (NodeId v : cycle) {
-    if (timestamp_[v] > timestamp_[victim]) victim = v;
+  const std::vector<NodeId> victims = DeadlockVictims(wait_for, timestamp_);
+  for (NodeId victim : victims) {
+    AbortTxn(victim);
+    PumpLockEvents();  // The abort releases locks: serve the grants now.
   }
-  AbortTxn(victim);
-  PumpLockEvents();  // The abort releases locks: serve the grants now.
-  return true;
+  return !victims.empty();
 }
 
 void SimEngine::FinalizeMetrics() {

@@ -1,30 +1,18 @@
 // Thread-safe shared/exclusive lock table for the live (wall-clock)
-// engine: the flat per-site LockManager rebuilt for real concurrency.
+// engine: a thin threading layer over the one lock-table core.
 //
-// Architecture (the pthread lock tables of real storage engines):
-//   * the grant/waiter state of every entity lives in a dense table, but
-//     access is guarded by a fixed array of STRIPE latches — entity ->
-//     stripe is a pure multiplicative-hash computation, so the lookup
-//     itself is lock-free and the stripe count bounds latch contention
-//     independently of the entity count;
-//   * waiter queues are intrusive: one pre-allocated WaitNode per
-//     transaction (a transaction waits on at most one entity at a time),
-//     linked through the nodes by transaction index — the hot path never
-//     allocates;
+// Architecture:
+//   * entity e lives in stripe e & (stripes - 1), at row e >> log2(stripes)
+//     of that stripe's LockManager — the same core the simulator runs per
+//     site, so grant, queue, upgrade and wait-for decisions (and the
+//     shared grant rule of DESIGN.md §11.5) exist exactly once. Adjacent
+//     ids land on different stripes, and the lookup itself takes no lock;
+//   * each stripe's latch guards its core. The core's grant and block
+//     records are drained under that latch before it drops, so the layer
+//     never reads a stale record;
 //   * blocked requesters park on a per-transaction condition variable
 //     paired with the stripe latch, so a release wakes exactly the
-//     transactions it grants (no thundering herd).
-//
-// Lock modes (DESIGN.md §11): any number of shared holders OR one
-// exclusive holder per entity. Queueing is FIFO-fair — a shared request
-// behind a queued exclusive waiter queues too (no reader starvation) —
-// and a freed entity grants the maximal consecutive shared prefix of its
-// queue in one batch. An S->X upgrade keeps its shared hold and jumps to
-// the queue HEAD; it is promoted the moment it is the sole remaining
-// sharer. Two sharers upgrading the same entity deadlock on each other:
-// the timestamp policies resolve it by aborting one side up front, and
-// kDetect sees the cycle because wait-for edges run to EVERY conflicting
-// holder (an upgrader never waits on itself).
+//     transactions the core granted (no thundering herd).
 //
 // Conflict policies:
 //   * kBlock is the paper's certified fast path: a conflicting request
@@ -32,14 +20,15 @@
 //     fires, no wait-for graph is ever built. The only extra wake source
 //     is RequestStop(), used by the engine's shutdown/watchdog path.
 //   * kWoundWait / kWaitDie are the Rosenkrantz-Stearns-Lewis timestamp
-//     baselines: conflicts consult timestamps against EACH conflicting
-//     holder and resolve by aborting the younger party (Acquire returns
-//     kAborted; the caller must release its locks and retry with the
-//     same timestamp).
+//     baselines: each block record the core emits (one per new wait-for
+//     edge) is resolved by timestamp, aborting the younger party (Acquire
+//     returns kAborted; the caller must release its locks and retry with
+//     the same timestamp). Records are drained on every path, immediate
+//     grants included: a shared grant past queued writers adds edges.
 //   * kDetect scans on block (InnoDB-style): a parking waiter snapshots
 //     the global wait-for graph (all stripes latched in index order) and
-//     aborts the youngest transaction on a cycle, then re-scans every
-//     detect_interval_us while it stays parked.
+//     aborts the youngest transaction on each cycle (DeadlockVictims),
+//     then re-scans every detect_interval_us while it stays parked.
 //
 // The manager resolves conflicts but never aborts anything itself: an
 // aborted Acquire returns kAborted and the CALLER releases held locks via
@@ -56,6 +45,7 @@
 
 #include "core/database.h"
 #include "core/transaction.h"
+#include "runtime/lock_manager.h"
 #include "runtime/scheduler.h"
 
 namespace wydb {
@@ -80,8 +70,8 @@ class StripedLockManager {
     int64_t detect_interval_us = 2000;
   };
 
-  /// `num_entities` sizes the dense lock table, `num_txns` the
-  /// per-transaction wait-node pool. Transaction ids are 0..num_txns-1.
+  /// `num_entities` sizes the lock table, `num_txns` the per-transaction
+  /// park slots. Transaction ids are 0..num_txns-1.
   StripedLockManager(int num_entities, int num_txns, const Options& options);
 
   /// Blocking acquire in `mode`. Returns kGranted once the caller holds
@@ -90,12 +80,13 @@ class StripedLockManager {
   /// request by a current sharer is an UPGRADE (granted at once if sole
   /// sharer, else queued at the head while the shared hold is kept). Must
   /// not be called while the caller already waits elsewhere (one
-  /// outstanding Acquire per transaction).
+  /// outstanding Acquire per transaction), nor for a hold the caller
+  /// already has in `mode` or a stronger one.
   AcquireStatus Acquire(int txn, EntityId entity,
                         LockMode mode = LockMode::kExclusive);
 
   /// Releases `entity` if `txn` holds it in either mode (stale releases
-  /// tolerated) and grants the next waiter batch.
+  /// tolerated) and grants the waiters that became compatible.
   void Release(int txn, EntityId entity);
 
   /// Abort/commit cleanup: releases every entity in `held` that `txn`
@@ -160,82 +151,56 @@ class StripedLockManager {
   bool IsHolding(int txn, EntityId entity) const;
   /// Number of shared holders of `entity` (0 when exclusively held/free).
   int SharerCountOf(EntityId entity) const;
-  /// Parked transactions over all entities.
-  size_t TotalWaiters() const;
 
-  struct WaitEdge {
-    int waiter;
-    int holder;
-    EntityId entity;
-  };
+  using WaitEdge = LockManager::WaitEdge;
   /// Consistent snapshot of the wait-for relation (latches every stripe
   /// in index order): one edge per conflicting holder — all sharers for a
   /// queued exclusive request; an upgrader never waits on itself.
   std::vector<WaitEdge> WaitForEdges() const;
 
  private:
-  /// Queue/grant state of one entity. Guarded by its stripe's latch.
-  struct Entry {
-    int32_t holder = -1;            ///< Exclusive holder, or -1.
-    std::vector<int32_t> sharers;   ///< Shared holders (empty when X-held).
-    int32_t head = -1;              ///< Waiting transaction index, or -1.
-    int32_t tail = -1;
+  /// One latch and the core it guards. `records` collects the core's
+  /// grant/block records until the latch holder drains them.
+  struct alignas(64) Stripe {
+    explicit Stripe(int rows) : core(/*site=*/0, rows, &records) {}
+    mutable std::mutex mu;
+    std::vector<LockEvent> records;
+    LockManager core;
   };
 
-  /// One pre-allocated park slot per transaction; all fields except the
-  /// atomics are guarded by the stripe latch of `entity`.
-  struct WaitNode {
+  /// One park slot per transaction. `granted` and `upgrade` are guarded
+  /// by the latch of the stripe the transaction is requesting on.
+  struct alignas(64) ParkSlot {
     std::condition_variable cv;
-    int32_t next = -1;
     uint8_t granted = 0;
-    LockMode mode = LockMode::kExclusive;  ///< Mode of the queued request.
-    uint8_t upgrading = 0;  ///< Queued S->X upgrade: still holds S.
+    bool upgrade = false;  ///< From the core's kGrant record.
+    std::atomic<uint8_t> abort{0};
     /// Entity this transaction is parked on (set under the stripe latch
     /// before the first predicate check, cleared under it on wake).
     /// Atomic so RequestAbort can chase the parking spot latch-free.
     std::atomic<EntityId> parked_on{kInvalidEntity};
   };
 
-  struct alignas(64) Stripe {
-    mutable std::mutex mu;
-  };
-
-  size_t StripeOf(EntityId e) const {
-    // Multiplicative hash: adjacent entity ids land on different stripes.
-    // One stripe means a 64-bit shift, which C++ leaves undefined — that
-    // case is index 0 by definition.
-    if (stripe_shift_ >= 64) return 0;
-    return (static_cast<uint64_t>(static_cast<uint32_t>(e)) *
-            0x9E3779B97F4A7C15ull) >>
-           stripe_shift_;
+  Stripe& StripeOf(EntityId e) const {
+    return *stripes_[static_cast<size_t>(e) & (stripes_.size() - 1)];
   }
+  EntityId RowOf(EntityId e) const { return e >> stripe_bits_; }
 
-  /// Appends txn to entity's waiter queue. Stripe latch held.
-  void Enqueue(Entry& entry, int txn, LockMode mode, bool upgrading);
-  /// Prepends txn (upgrades). Stripe latch held.
-  void EnqueueFront(Entry& entry, int txn, LockMode mode, bool upgrading);
-  /// Removes txn from entity's waiter queue if present. Stripe latch held.
-  void Unlink(Entry& entry, int txn);
-  bool IsSharer(const Entry& entry, int txn) const;
-  bool RemoveSharer(Entry& entry, int txn);
-  /// Grants the maximal compatible prefix of the queue (one X, a
-  /// promotable upgrade, or a consecutive batch of S requests), wakes the
-  /// winners, and re-applies the timestamp policy of the remaining
-  /// waiters against the new holders. Holders parked on OTHER stripes
-  /// cannot be woken under this latch; their ids are appended to *wounds
-  /// (flag already set) and the caller must WakeIfParked each AFTER
-  /// dropping the latch. Stripe latch held; entry.holder must be -1.
-  void GrantHead(Entry& entry, std::vector<int>* wounds);
-  /// Releases under the latch; grants the next waiter batch.
-  void ReleaseLocked(int txn, Entry& entry,
-                     std::vector<int>* wounds);
+  /// Applies the drained records of `stripe` (latch held): wakes granted
+  /// waiters and resolves each block record by timestamp. Wounded holders
+  /// may be parked on OTHER stripes and cannot be woken under this latch;
+  /// their ids are appended to *wounds (flag already set) for WakeAll
+  /// AFTER the latch drops.
+  void Drain(Stripe& stripe, std::vector<int>* wounds);
 
-  /// Parks txn on `entity` until granted/aborted/stopped. The caller has
-  /// already enqueued it; `lk` holds the stripe latch. Returns the final
-  /// status with the node unlinked and parked_on cleared. May return with
-  /// `lk` unlocked (give-back wound delivery).
-  AcquireStatus Park(int txn, EntityId entity,
+  /// Parks txn, already queued on `entity`, until granted/aborted/stopped.
+  /// `lk` holds the stripe latch. Returns with the request either granted
+  /// or gone from the queue and parked_on cleared. May return with `lk`
+  /// unlocked (give-back wound delivery).
+  AcquireStatus Park(int txn, EntityId entity, LockMode mode,
                      std::unique_lock<std::mutex>& lk);
+
+  void CountGrant(LockMode mode, bool upgrade);
 
   /// Sets txn's abort flag (counting the policy abort on the 0->1 edge)
   /// and notifies its cv. Safe under any latch; pair with a latch-free
@@ -243,23 +208,31 @@ class StripedLockManager {
   void FlagPolicyAbort(int txn);
 
   /// kDetect: snapshot the wait-for graph and abort the youngest
-  /// transaction on a cycle, if any. Caller holds no stripe latch.
+  /// transaction on each cycle, if any. Caller holds no stripe latch.
   void RunDetector();
 
   /// Notifies txn under its parking stripe's latch if it is parked.
   /// Caller holds no stripe latch.
   void WakeIfParked(int txn);
+  void WakeAll(const std::vector<int>& txns) {
+    for (int t : txns) WakeIfParked(t);
+  }
+
+  /// Every stripe latch, in index order (the one place two stripe latches
+  /// are ever held together; ordered, so no latch cycle).
+  std::vector<std::unique_lock<std::mutex>> LatchAll() const;
+  /// The wait-for edges of every stripe, in entity ids. All latches held.
+  std::vector<WaitEdge> EdgesLatched() const;
 
   bool AbortRequested(int txn) const {
-    return abort_flag_[txn].load(std::memory_order_acquire) != 0;
+    return slots_[txn].abort.load(std::memory_order_acquire) != 0;
   }
 
   Options options_;
-  size_t stripe_shift_;
-  std::vector<Stripe> stripes_;
-  std::vector<Entry> entries_;
-  std::unique_ptr<WaitNode[]> nodes_;
-  std::unique_ptr<std::atomic<uint8_t>[]> abort_flag_;
+  int num_txns_;
+  int stripe_bits_ = 0;
+  std::vector<std::unique_ptr<Stripe>> stripes_;
+  std::unique_ptr<ParkSlot[]> slots_;
   std::vector<uint64_t> timestamp_;
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> grants_{0};

@@ -315,11 +315,6 @@ void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
     live.seed = seed;
     live.threads = s.num_transactions();
     live.rounds = 3;
-    // The watchdog calls two progress-free intervals a deadlock. On a
-    // test host running the whole suite in parallel a runnable worker
-    // can be starved for longer than the default 2 x 250 ms, so give it
-    // room; a real deadlock still ends the session, 4 s later.
-    live.watchdog_interval_ms = 2000;
     auto lr = RunLive(s, live);
     ASSERT_TRUE(lr.ok());
     EXPECT_FALSE(lr->deadlocked)

@@ -108,7 +108,6 @@ StressOutcome RunStress(ConflictPolicy policy, int threads, int entities,
 
   EXPECT_FALSE(double_grant.load()) << ConflictPolicyName(policy);
   // Waiter-pool accounting: every queue drained, every entity free.
-  EXPECT_EQ(mgr.TotalWaiters(), 0u);
   for (int e = 0; e < entities; ++e) EXPECT_EQ(mgr.HolderOf(e), -1);
   EXPECT_TRUE(mgr.WaitForEdges().empty());
   return StressOutcome{granted_rounds.load(), aborts.load()};
@@ -173,11 +172,11 @@ TEST(StripedLockManager, RequestAbortWakesParkedWaiter) {
     mgr.BeginAttempt(1);
     status.store(static_cast<int>(mgr.Acquire(1, 0)));
   });
-  while (mgr.TotalWaiters() == 0) std::this_thread::yield();
+  while (mgr.WaitForEdges().empty()) std::this_thread::yield();
   mgr.RequestAbort(1);
   waiter.join();
   EXPECT_EQ(status.load(), static_cast<int>(AcquireStatus::kAborted));
-  EXPECT_EQ(mgr.TotalWaiters(), 0u);
+  EXPECT_TRUE(mgr.WaitForEdges().empty());
   EXPECT_EQ(mgr.HolderOf(0), 0);  // The holder is untouched.
 }
 
@@ -187,7 +186,7 @@ TEST(StripedLockManager, RequestStopWakesParkedWaiter) {
   std::atomic<int> status{-1};
   std::thread waiter(
       [&] { status.store(static_cast<int>(mgr.Acquire(1, 1))); });
-  while (mgr.TotalWaiters() == 0) std::this_thread::yield();
+  while (mgr.WaitForEdges().empty()) std::this_thread::yield();
   mgr.RequestStop();
   waiter.join();
   EXPECT_EQ(status.load(), static_cast<int>(AcquireStatus::kStopped));
@@ -200,7 +199,7 @@ TEST(StripedLockManager, WaitDieYoungerRequesterDiesImmediately) {
   mgr.SetTimestamp(1, 1);  // Younger.
   ASSERT_EQ(mgr.Acquire(0, 0), AcquireStatus::kGranted);
   EXPECT_EQ(mgr.Acquire(1, 0), AcquireStatus::kAborted);
-  EXPECT_EQ(mgr.TotalWaiters(), 0u);
+  EXPECT_TRUE(mgr.WaitForEdges().empty());
   EXPECT_EQ(mgr.policy_aborts(), 1u);
 }
 
@@ -259,7 +258,7 @@ TEST(StripedLockManager, DetectBreaksTwoCycleDeadlock) {
   // The youngest on the cycle (txn 1) is the victim; txn 0 survives.
   EXPECT_EQ(outcome0.load(), static_cast<int>(AcquireStatus::kGranted));
   EXPECT_EQ(outcome1.load(), static_cast<int>(AcquireStatus::kAborted));
-  EXPECT_EQ(mgr.TotalWaiters(), 0u);
+  EXPECT_TRUE(mgr.WaitForEdges().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -358,6 +357,29 @@ TEST(LiveEngine, UncertifiedRingDeadlocksAndWatchdogClassifiesIt) {
   }
 }
 
+TEST(LiveEngine, WatchdogCallsALongHoldAStallNotADeadlock) {
+  // Both transactions lock x and dwell 500 ms holding it, so the waiter
+  // sits parked through ten progress-free watchdog intervals. That is a
+  // stall: the wait-for snapshot has no cycle, so the session must run
+  // both rounds to completion instead of being declared deadlocked.
+  auto db = MakeDb({{"s1", {"x"}}});
+  std::vector<Transaction> txns;
+  txns.push_back(MakeSeq(db.get(), "A", {"Lx", "Ux"}));
+  txns.push_back(MakeSeq(db.get(), "B", {"Lx", "Ux"}));
+  TransactionSystem sys = MakeSystem(db.get(), std::move(txns));
+  LiveOptions o;
+  o.policy = ConflictPolicy::kBlock;
+  o.threads = 2;
+  o.rounds = 1;
+  o.hold_us = 500'000;
+  o.watchdog_interval_ms = 50;
+  auto r = RunLive(sys, o);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r->deadlocked);
+  EXPECT_TRUE(r->completed);
+  EXPECT_EQ(r->commits, 2u);
+}
+
 TEST(LiveEngine, DetectionPoliciesResolveTheSameRing) {
   auto owned = GenerateRingSystem(3);
   ASSERT_TRUE(owned.ok());
@@ -376,6 +398,42 @@ TEST(LiveEngine, DetectionPoliciesResolveTheSameRing) {
     EXPECT_TRUE(r->completed) << ConflictPolicyName(policy);
     EXPECT_FALSE(r->deadlocked) << ConflictPolicyName(policy);
     EXPECT_EQ(r->commits, 3u * 30u) << ConflictPolicyName(policy);
+  }
+}
+
+TEST(LiveEngine, DetectionPoliciesResolveMixedModeContention) {
+  // Heavily contended 2PL systems where half the accesses are shared: a
+  // reader is granted past a queued writer, a wait-for edge each policy
+  // must act on like any other.
+  for (uint64_t seed : {1, 4, 10}) {
+    RandomSystemOptions gopts;
+    gopts.num_transactions = 6;
+    gopts.entities_per_txn = 3;
+    gopts.num_sites = 3;
+    gopts.entities_per_site = 3;
+    gopts.two_phase = true;
+    gopts.shared_fraction = 0.5;
+    gopts.seed = seed;
+    auto owned = GenerateRandomSystem(gopts);
+    ASSERT_TRUE(owned.ok());
+    for (ConflictPolicy policy :
+         {ConflictPolicy::kWoundWait, ConflictPolicy::kWaitDie,
+          ConflictPolicy::kDetect}) {
+      LiveOptions o;
+      o.policy = policy;
+      o.threads = 6;
+      o.rounds = 20;
+      o.hold_us = 200;
+      o.backoff_us = 100;
+      o.detect_interval_us = 500;
+      auto r = RunLive(*owned->system, o);
+      ASSERT_TRUE(r.ok());
+      SCOPED_TRACE(testing::Message()
+                   << ConflictPolicyName(policy) << " seed " << seed);
+      EXPECT_TRUE(r->completed);
+      EXPECT_FALSE(r->deadlocked);
+      EXPECT_EQ(r->commits, 6u * 20u);
+    }
   }
 }
 

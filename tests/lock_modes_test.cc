@@ -1,13 +1,15 @@
-// Adversarial S/X grant-logic battery run against BOTH lock tables — the
-// simulator's per-site LockManager and the live engine's thread-safe
-// StripedLockManager — through one driver interface, so the two
-// implementations are pinned to the same mode semantics (DESIGN.md §11):
+// Adversarial S/X grant-logic battery run through both front ends of the
+// one lock-table core — the simulator's LockManager, driven directly, and
+// the live engine's StripedLockManager, which adds stripe latches,
+// parking and abort delivery — through one driver interface, so both are
+// pinned to the same mode semantics (DESIGN.md §11):
 //
 //   * shared grants are batched: any number of S holders coexist, and a
-//     freed entity grants the maximal consecutive shared prefix of its
-//     queue at once;
-//   * FIFO fairness: an S request behind a queued X waiter queues too,
-//     so writers are never starved by a stream of readers;
+//     freed entity grants every queued S request at once;
+//   * the model's grant rule (DESIGN.md §11.5): a request is granted iff
+//     it is compatible with the current holders, so an S request is
+//     granted past a queued X waiter; X waiters stay FIFO among
+//     themselves, and a steady stream of readers can delay a writer;
 //   * S->X upgrades keep their shared hold and jump to the queue head —
 //     promoted immediately when the upgrader is the sole sharer, else
 //     the moment the other sharers drain;
@@ -17,20 +19,26 @@
 //     survivor;
 //   * the shared_grants / upgrades / upgrade_aborts counters are exact.
 //
-// The striped-only tests at the bottom additionally pin the conflict
-// policies: wound-wait resolves the upgrade deadlock by timestamp, and
-// the kDetect scanner finds the 2-cycle and aborts the youngest.
+// A script fuzz then runs random Request/Release/Abort scripts through
+// both front ends and checks the grant rule's invariants after every
+// step. The striped-only tests at the bottom additionally pin the
+// conflict policies: wound-wait resolves the upgrade deadlock by
+// timestamp, and the kDetect scanner finds the 2-cycle and aborts the
+// youngest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <map>
 #include <memory>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "runtime/lock_manager.h"
 #include "runtime/striped_lock_manager.h"
 
@@ -93,8 +101,44 @@ class FlatDriver : public ModeDriver {
     // Grants happen synchronously inside Release/Abort.
     return Holds(txn, e, mode);
   }
-  void Release(int txn, EntityId e) override { lm_.Release(txn, e); }
-  void Abort(int txn) override { lm_.Abort(txn); }
+  void Release(int txn, EntityId e) override {
+    lm_.Release(txn, e);
+    std::erase_if(announced_, [&](const auto& a) {
+      return std::get<1>(a) == txn && std::get<2>(a) == e;
+    });
+  }
+  void Abort(int txn) override {
+    lm_.Abort(txn);
+    std::erase_if(announced_, [&](const auto& a) {
+      return std::get<0>(a) == txn || std::get<1>(a) == txn;
+    });
+  }
+
+  /// True iff every current wait-for edge was reported by a kBlock record
+  /// since its holder got the lock: the timestamp policies see an edge
+  /// only through that record.
+  bool EdgesAnnounced() {
+    for (; seen_ < events_.size(); ++seen_) {
+      const LockEvent& ev = events_[seen_];
+      if (ev.kind == LockEvent::Kind::kBlock) {
+        announced_.insert({ev.txn, ev.holder, ev.entity});
+        continue;
+      }
+      // The grantee waits no more; a new hold (not an upgraded one)
+      // needs new records.
+      std::erase_if(announced_, [&](const auto& a) {
+        return std::get<2>(a) == ev.entity &&
+               (std::get<0>(a) == ev.txn ||
+                (!ev.upgrade && std::get<1>(a) == ev.txn));
+      });
+    }
+    for (const auto& we : lm_.WaitForEdges()) {
+      if (announced_.count({we.waiter, we.holder, we.entity}) == 0) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   bool IsHolding(int txn, EntityId e) const override {
     return lm_.IsHolding(txn, e);
@@ -129,6 +173,8 @@ class FlatDriver : public ModeDriver {
 
   std::vector<LockEvent> events_;
   LockManager lm_;
+  size_t seen_ = 0;
+  std::set<std::tuple<int, int, EntityId>> announced_;  // (waiter, holder, e)
 };
 
 // --- Striped (live) manager. ------------------------------------------
@@ -147,7 +193,7 @@ class StripedDriver : public ModeDriver {
   }
 
   bool Acquire(int txn, EntityId e, LockMode mode) override {
-    const size_t waiters_before = mgr_.TotalWaiters();
+    const size_t waiters_before = ParkedCount();
     auto fut = std::async(std::launch::async, [this, txn, e, mode] {
       return mgr_.Acquire(txn, e, mode);
     });
@@ -163,7 +209,7 @@ class StripedDriver : public ModeDriver {
         }
         return true;
       }
-      if (mgr_.TotalWaiters() > waiters_before) {
+      if (ParkedCount() > waiters_before) {
         pending_[txn] = std::move(fut);
         return false;
       }
@@ -184,6 +230,8 @@ class StripedDriver : public ModeDriver {
     if (fut.wait_for(std::chrono::seconds(10)) !=
         std::future_status::ready) {
       ADD_FAILURE() << "pending acquire by T" << txn << " never completed";
+      // Unpark the thread: the future's destructor waits for it.
+      mgr_.RequestStop();
       return false;
     }
     if (fut.get() != StripedLockManager::AcquireStatus::kGranted) {
@@ -208,15 +256,26 @@ class StripedDriver : public ModeDriver {
       if (fut.wait_for(std::chrono::seconds(10)) !=
           std::future_status::ready) {
         ADD_FAILURE() << "aborted acquire by T" << txn << " never returned";
+        mgr_.RequestStop();  // As in AwaitGranted: never hang the binary.
       } else {
         EXPECT_EQ(fut.get(), StripedLockManager::AcquireStatus::kAborted);
       }
     }
     // The striped manager never releases for the caller: mirror the flat
-    // manager's Abort by dropping every hold explicitly.
+    // manager's Abort by dropping every hold explicitly, then leave the
+    // transaction free to run again.
     std::vector<EntityId> held(held_[txn].begin(), held_[txn].end());
     mgr_.ReleaseAll(txn, held);
     held_[txn].clear();
+    mgr_.BeginAttempt(txn);
+  }
+
+  /// True iff `txn` has an acquire parked (issued, not yet completed).
+  bool IsParked(int txn) const {
+    auto it = pending_.find(txn);
+    return it != pending_.end() &&
+           it->second.wait_for(std::chrono::seconds(0)) !=
+               std::future_status::ready;
   }
 
   bool IsHolding(int txn, EntityId e) const override {
@@ -242,6 +301,14 @@ class StripedDriver : public ModeDriver {
   StripedLockManager& manager() { return mgr_; }
 
  private:
+  /// Transactions parked anywhere: the distinct waiters of the wait-for
+  /// edges (a shared grant past queued writers adds edges, not waiters).
+  size_t ParkedCount() const {
+    std::set<int> waiters;
+    for (const auto& we : mgr_.WaitForEdges()) waiters.insert(we.waiter);
+    return waiters.size();
+  }
+
   static StripedLockManager::Options MakeOptions(ConflictPolicy policy) {
     StripedLockManager::Options o;
     o.policy = policy;
@@ -287,22 +354,23 @@ TEST_P(LockModesTest, SharedGrantsCoexistAndBlockExclusive) {
   EXPECT_EQ(d->SharerCount(kE), 0);
 }
 
-TEST_P(LockModesTest, SharedQueuesBehindQueuedExclusive) {
-  // FIFO fairness: T2's S request is compatible with the S holder T0 but
-  // must queue behind the earlier X waiter T1 — no reader starvation.
+TEST_P(LockModesTest, SharedGrantedPastQueuedExclusive) {
+  // The model's grant rule: T2's S request is compatible with the S
+  // holder T0, so it is granted at once, past the queued X waiter T1.
   auto d = NewDriver(GetParam());
   EXPECT_TRUE(d->Acquire(0, kE, LockMode::kShared));
   EXPECT_FALSE(d->Acquire(1, kE, LockMode::kExclusive));
-  EXPECT_FALSE(d->Acquire(2, kE, LockMode::kShared));
-  EXPECT_EQ(d->SharerCount(kE), 1);
+  EXPECT_TRUE(d->Acquire(2, kE, LockMode::kShared));
+  EXPECT_EQ(d->SharerCount(kE), 2);
+  auto edges = d->WaitEdges();
+  EXPECT_TRUE(HasEdge(edges, 1, 0));
+  EXPECT_TRUE(HasEdge(edges, 1, 2));
 
-  // The writer goes first...
+  // The writer follows once both sharers have released.
   d->Release(0, kE);
+  EXPECT_FALSE(d->IsExclusiveHolder(1, kE));
+  d->Release(2, kE);
   EXPECT_TRUE(d->AwaitGranted(1, kE, LockMode::kExclusive));
-  EXPECT_FALSE(d->IsHolding(2, kE));
-  // ...and the reader follows.
-  d->Release(1, kE);
-  EXPECT_TRUE(d->AwaitGranted(2, kE, LockMode::kShared));
 }
 
 TEST_P(LockModesTest, FreedEntityGrantsSharedBatch) {
@@ -343,7 +411,9 @@ TEST_P(LockModesTest, QueuedUpgradeKeepsSharedHoldAndJumpsQueue) {
   auto d = NewDriver(GetParam());
   EXPECT_TRUE(d->Acquire(0, kE, LockMode::kShared));
   EXPECT_TRUE(d->Acquire(1, kE, LockMode::kShared));
-  // T0 upgrades: not promotable (T1 still shares), keeps its S hold.
+  EXPECT_FALSE(d->Acquire(3, kE, LockMode::kExclusive));
+  // T0 upgrades: not promotable (T1 still shares), keeps its S hold and
+  // queues ahead of the earlier X waiter T3.
   EXPECT_FALSE(d->Acquire(0, kE, LockMode::kExclusive));
   EXPECT_TRUE(d->IsHolding(0, kE));
   EXPECT_EQ(d->SharerCount(kE), 2);
@@ -352,17 +422,21 @@ TEST_P(LockModesTest, QueuedUpgradeKeepsSharedHoldAndJumpsQueue) {
   EXPECT_TRUE(HasEdge(edges, 0, 1));
   EXPECT_FALSE(HasEdge(edges, 0, 0));
 
-  // A later S request queues behind the head upgrade (FIFO fairness).
-  EXPECT_FALSE(d->Acquire(2, kE, LockMode::kShared));
+  // A later S request is compatible with the shared holders: granted at
+  // once, past both queued X requests.
+  EXPECT_TRUE(d->Acquire(2, kE, LockMode::kShared));
+  EXPECT_EQ(d->SharerCount(kE), 3);
 
-  // The other sharer drains: the upgrade is promoted ahead of T2.
+  // The upgrade is promoted once the other sharers have released.
   d->Release(1, kE);
+  EXPECT_FALSE(d->IsExclusiveHolder(0, kE));
+  d->Release(2, kE);
   EXPECT_TRUE(d->AwaitGranted(0, kE, LockMode::kExclusive));
   EXPECT_EQ(d->Upgrades(), 1u);
-  EXPECT_FALSE(d->IsHolding(2, kE));
+  EXPECT_FALSE(d->IsHolding(3, kE));
 
   d->Release(0, kE);
-  EXPECT_TRUE(d->AwaitGranted(2, kE, LockMode::kShared));
+  EXPECT_TRUE(d->AwaitGranted(3, kE, LockMode::kExclusive));
 }
 
 TEST_P(LockModesTest, TwoUpgradersDeadlockAndAbortResolves) {
@@ -429,6 +503,22 @@ TEST(FlatLockModesTest, BlockEventsEmittedPerConflictingHolder) {
   EXPECT_EQ(blocks, 2);
 }
 
+// A shared grant past a queued writer is a new wait-for edge: the core
+// reports it as a kBlock record, so a timestamp policy can act on it.
+TEST(FlatLockModesTest, SharedGrantPastWriterEmitsBlockRecord) {
+  FlatDriver d;
+  d.Acquire(0, kE, LockMode::kShared);
+  d.Acquire(1, kE, LockMode::kExclusive);
+  const size_t before = d.events().size();
+  ASSERT_TRUE(d.Acquire(2, kE, LockMode::kShared));
+  ASSERT_EQ(d.events().size(), before + 2);
+  EXPECT_EQ(d.events()[before].kind, LockEvent::Kind::kGrant);
+  const LockEvent& block = d.events()[before + 1];
+  EXPECT_EQ(block.kind, LockEvent::Kind::kBlock);
+  EXPECT_EQ(block.txn, 1);
+  EXPECT_EQ(block.holder, 2);
+}
+
 // X-only workloads never touch the shared machinery: counters stay zero
 // and the waiter pool still plateaus (the pre-S/X contract).
 TEST(FlatLockModesTest, ExclusiveOnlyTrafficKeepsCountersZero) {
@@ -444,6 +534,114 @@ TEST(FlatLockModesTest, ExclusiveOnlyTrafficKeepsCountersZero) {
   EXPECT_EQ(d.Upgrades(), 0u);
   EXPECT_EQ(d.UpgradeAborts(), 0u);
   EXPECT_EQ(d.manager().free_waiter_count(), d.manager().waiter_pool_size());
+}
+
+// ---------------------------------------------------------------------
+// Script fuzz: random Request/Release/Abort scripts with mixed modes and
+// upgrades, run through both front ends. After every step the holders
+// must be pairwise compatible, every queued request must conflict with
+// some current holder (the grant rule never leaves a grantable request
+// waiting), the two front ends must show the same holders, sharer
+// counts, parked requests and wait-for edges, and every wait-for edge
+// must have been reported by a kBlock record.
+constexpr int kFuzzTxns = 5;
+constexpr int kFuzzEntities = 3;
+
+struct Request {
+  EntityId entity;
+  LockMode mode;
+};
+
+void CheckStep(FlatDriver& flat, StripedDriver& striped,
+               const std::map<int, Request>& pending) {
+  for (EntityId e = 0; e < kFuzzEntities; ++e) {
+    int holders = 0, exclusive = 0;
+    for (int t = 0; t < kFuzzTxns; ++t) {
+      EXPECT_EQ(flat.IsHolding(t, e), striped.IsHolding(t, e))
+          << "T" << t << " on e" << e;
+      holders += flat.IsHolding(t, e);
+      exclusive += flat.IsExclusiveHolder(t, e);
+    }
+    EXPECT_EQ(flat.SharerCount(e), striped.SharerCount(e)) << "e" << e;
+    // Pairwise compatible: one exclusive holder alone, or only sharers.
+    EXPECT_EQ(exclusive > 0 ? 1 : flat.SharerCount(e), holders) << "e" << e;
+  }
+  for (int t = 0; t < kFuzzTxns; ++t) {
+    auto it = pending.find(t);
+    EXPECT_EQ(striped.IsParked(t), it != pending.end()) << "T" << t;
+    for (EntityId e = 0; e < kFuzzEntities; ++e) {
+      const bool waits = it != pending.end() && it->second.entity == e;
+      EXPECT_EQ(flat.manager().IsWaitingOn(t, e), waits) << "T" << t;
+      if (!waits) continue;
+      bool conflicts = false;
+      for (int h = 0; h < kFuzzTxns; ++h) {
+        conflicts |= h != t && flat.IsHolding(h, e) &&
+                     (it->second.mode == LockMode::kExclusive ||
+                      flat.IsExclusiveHolder(h, e));
+      }
+      EXPECT_TRUE(conflicts)
+          << "T" << t << " waits on e" << e << " though no holder conflicts";
+    }
+  }
+  std::vector<Edge> a = flat.WaitEdges(), b = striped.WaitEdges();
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  EXPECT_EQ(a, b);
+  EXPECT_TRUE(flat.EdgesAnnounced()) << "a wait-for edge has no kBlock record";
+}
+
+TEST(LockModesScriptFuzz, FrontEndsAgreeAndQueuedRequestsConflict) {
+  for (uint64_t script = 0; script < 30; ++script) {
+    SCOPED_TRACE(testing::Message() << "script " << script);
+    Rng rng(0x10C4ED + script);
+    FlatDriver flat;
+    StripedDriver striped;
+    std::map<int, Request> pending;
+    for (int step = 0; step < 30 && !HasFailure(); ++step) {
+      const int t = static_cast<int>(rng.NextBelow(kFuzzTxns));
+      const uint64_t op = rng.NextBelow(10);
+      if (op < 6) {
+        const EntityId e = static_cast<EntityId>(rng.NextBelow(kFuzzEntities));
+        const LockMode mode =
+            rng.NextBelow(2) == 0 ? LockMode::kShared : LockMode::kExclusive;
+        // One outstanding request per transaction, and no request for a
+        // hold it already has (a sharer asking for X upgrades).
+        if (pending.count(t) > 0 ||
+            (flat.IsHolding(t, e) && (mode == LockMode::kShared ||
+                                      flat.IsExclusiveHolder(t, e)))) {
+          continue;
+        }
+        const bool granted = flat.Acquire(t, e, mode);
+        EXPECT_EQ(striped.Acquire(t, e, mode), granted);
+        if (!granted) pending[t] = Request{e, mode};
+      } else if (op < 9) {
+        if (pending.count(t) > 0) continue;  // Parked: it cannot release.
+        for (EntityId e = 0; e < kFuzzEntities; ++e) {
+          if (!flat.IsHolding(t, e)) continue;
+          flat.Release(t, e);
+          striped.Release(t, e);
+          break;
+        }
+      } else {
+        flat.Abort(t);
+        striped.Abort(t);
+        pending.erase(t);
+      }
+      // Collect the requests the step granted, on both front ends.
+      for (auto it = pending.begin(); it != pending.end();) {
+        if (flat.manager().IsWaitingOn(it->first, it->second.entity)) {
+          ++it;
+          continue;
+        }
+        EXPECT_TRUE(flat.AwaitGranted(it->first, it->second.entity,
+                                      it->second.mode));
+        EXPECT_TRUE(striped.AwaitGranted(it->first, it->second.entity,
+                                         it->second.mode));
+        it = pending.erase(it);
+      }
+      CheckStep(flat, striped, pending);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -497,6 +695,43 @@ TEST(StripedLockModesTest, DetectorResolvesUpgradeDeadlock) {
   EXPECT_EQ(f0.get(), StripedLockManager::AcquireStatus::kGranted);
   EXPECT_TRUE(d.IsExclusiveHolder(0, kE));
   EXPECT_GE(d.manager().detector_runs(), 1u);
+}
+
+// Wound-wait: a younger reader granted past an older queued writer is
+// wounded at once, so the two can never end up waiting on each other.
+// Timestamps: T0 < T1 < T2.
+TEST(StripedLockModesTest, WoundWaitWoundsReaderGrantedPastOlderWriter) {
+  StripedDriver d(ConflictPolicy::kWoundWait);
+  ASSERT_TRUE(d.Acquire(0, kE, LockMode::kShared));
+  ASSERT_TRUE(d.Acquire(1, kF, LockMode::kExclusive));
+  ASSERT_FALSE(d.Acquire(1, kE, LockMode::kExclusive));  // Waits on T0.
+  ASSERT_TRUE(d.Acquire(2, kE, LockMode::kShared));      // Past T1.
+  EXPECT_EQ(d.manager().policy_aborts(), 1u);
+  // T2 now needs T1's entity: instead of waiting on T1 (which waits on
+  // T2), its request returns kAborted.
+  d.Release(0, kE);
+  auto fut = std::async(std::launch::async, [&d] {
+    return d.manager().Acquire(2, kF, LockMode::kExclusive);
+  });
+  if (fut.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    d.manager().RequestStop();  // Unpark it: never hang the binary.
+    FAIL() << "T2 waits on T1, which waits on T2";
+  }
+  EXPECT_EQ(fut.get(), StripedLockManager::AcquireStatus::kAborted);
+  d.Abort(2);
+  EXPECT_TRUE(d.AwaitGranted(1, kE, LockMode::kExclusive));
+}
+
+// Wait-die: an older reader granted past a younger queued writer kills
+// the writer, which may not wait on an older transaction.
+TEST(StripedLockModesTest, WaitDieKillsWriterPassedByOlderReader) {
+  StripedDriver d(ConflictPolicy::kWaitDie);
+  ASSERT_TRUE(d.Acquire(2, kE, LockMode::kShared));
+  ASSERT_FALSE(d.Acquire(1, kE, LockMode::kExclusive));  // Older: waits.
+  ASSERT_TRUE(d.Acquire(0, kE, LockMode::kShared));      // Past T1.
+  EXPECT_FALSE(d.AwaitGranted(1, kE, LockMode::kExclusive));  // kAborted.
+  EXPECT_EQ(d.manager().policy_aborts(), 1u);
+  EXPECT_TRUE(d.WaitEdges().empty());
 }
 
 // Wait-die with the YOUNGER transaction already holding S: the older

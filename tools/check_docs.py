@@ -14,10 +14,11 @@
    silently succeed. The `run` subcommand additionally enforces the
    fast-path gate: `--no-detection` on a workload that Theorem 4 does
    not certify safe + deadlock-free is refused (exit 2, "not certified"
-   on stderr), and so is a certified workload with an entity locked
-   shared by one transaction and exclusive by another (the FIFO gap of
-   DESIGN.md §11.5), while any other certified workload runs it and
-   prints exactly one deterministic `result:` line at MPL 1.
+   on stderr), while a certified workload runs it and prints exactly
+   one deterministic `result:` line at MPL 1. That includes a certified
+   workload with an entity locked shared by one transaction and
+   exclusive by another (`tools/fifo_gap.wydb`), which runs to
+   completion under pure blocking on both engines.
 4. Server smoke: `wydb_serve` flag misuse exits 2 with usage on stderr
    (including the compact-encoding refusal), and a short scripted
    stdin/stdout session exercises the line protocol: certify, exact
@@ -141,12 +142,6 @@ LIVE_RESULT_RE = result_re("live", 15)
 SIM_RESULT_RE = result_re("sim", 15)
 # The 16-worker read-mostly farm commits 16 x 5 rounds.
 LIVE_RESULT_16_RE = result_re("live", 80)
-
-# The FIFO-gap workload deadlocks in the simulator under pure blocking.
-FIFO_GAP_DEADLOCK_RE = re.compile(
-    r"^result: engine=sim policy=block .* deadlocked=1 gave_up=0$",
-    re.MULTILINE,
-)
 
 # The shared workload (3 transactions, 2 S-locks per round) commits the
 # same 15 rounds at MPL 1 and grants exactly 30 shared locks; its perf
@@ -272,16 +267,16 @@ def check_cli_smoke(binary: Path) -> list[str]:
         ([str(read_mostly16)], 0, None, None),
         (["run", str(read_mostly16), "--no-detection", "--mpl", "1",
           "--rounds", "5"], 0, None, (LIVE_RESULT_16_RE, 1)),
-        # The FIFO gap (DESIGN.md §11.5): certified, yet the lock table
-        # queues S behind a queued X, so pure blocking can deadlock. The
-        # gate refuses its mixed-mode entities, and the simulator shows
-        # the deadlock.
+        # The closed FIFO gap (DESIGN.md §11.5): a certified system with
+        # mixed-mode entities. The lock table grants a compatible S
+        # request at once, as the model does, so pure blocking completes
+        # every round: 5 transactions x 3 rounds on both engines.
         ([str(fifo_gap)], 0, None, None),
-        (["run", str(fifo_gap), "--no-detection"], 2,
-         "is locked shared by", None),
+        (["run", str(fifo_gap), "--no-detection", "--threads", "5",
+          "--hold-us", "200", "--rounds", "3"], 0, None,
+         (LIVE_RESULT_RE, 1)),
         (["run", str(fifo_gap), "--engine", "sim", "--policy", "block",
-          "--rounds", "3", "--seed", "7"], 1, None,
-         (FIFO_GAP_DEADLOCK_RE, 1)),
+          "--rounds", "3", "--seed", "7"], 0, None, (SIM_RESULT_RE, 1)),
         # The generated read-mostly farm: misuse of the sweep knobs exits
         # 2 with a named complaint before any session runs...
         (["sweep", "--gen"], 2, "needs a value", None),

@@ -147,8 +147,7 @@ against the striped thread-safe lock table) or, for cross-checking, the
 deterministic simulator. Certified systems may run the paper's
 no-detection fast path (--policy block / --no-detection: pure blocking,
 no timestamps, no timeout scans); the subcommand REFUSES that fast path
-unless the Theorem 4 certification verdict is positive and no entity is
-locked shared by one transaction and exclusive by another. Prints one
+unless the Theorem 4 certification verdict is positive. Prints one
 greppable `result:` line (exact counts; deterministic at --mpl 1 or
 --threads 1) and one `perf:` line.
   --engine <e>       live (default) or sim (the closed-loop simulator,
@@ -366,29 +365,6 @@ int RunSimulateCommand(int argc, char** argv) {
   return 0;
 }
 
-// An entity some transaction locks shared and another exclusive, as
-// (entity, shared locker, exclusive locker); nullopt when there is none.
-struct MixedModeEntity {
-  EntityId entity;
-  int shared_txn;
-  int exclusive_txn;
-};
-std::optional<MixedModeEntity> FindMixedModeEntity(
-    const TransactionSystem& sys) {
-  for (EntityId e = 0; e < sys.db().num_entities(); ++e) {
-    int shared = -1, exclusive = -1;
-    for (int t : sys.AccessorsOf(e)) {
-      int& slot =
-          sys.txn(t).LockModeOf(e) == LockMode::kShared ? shared : exclusive;
-      if (slot < 0) slot = t;
-    }
-    if (shared >= 0 && exclusive >= 0) {
-      return MixedModeEntity{e, shared, exclusive};
-    }
-  }
-  return std::nullopt;
-}
-
 int RunRunCommand(int argc, char** argv) {
   if (argc < 3) {
     return Fail("usage: wydb_analyze run <workload.wydb> [options]");
@@ -457,10 +433,7 @@ int RunRunCommand(int argc, char** argv) {
   // The fast-path gate: detection-free blocking is the paper's payoff,
   // and it is only sound when the Theorem 4 verdict is positive. An
   // uncertified system under pure blocking can deadlock, so the run is
-  // refused outright rather than left to the watchdog. The verdict also
-  // assumes a compatible shared request is granted at once, but the lock
-  // table queues it behind a queued exclusive waiter (DESIGN.md §11.5),
-  // so a certified system with a mixed-mode entity can still deadlock.
+  // refused outright rather than left to the watchdog.
   if (policy == ConflictPolicy::kBlock && live) {
     auto report = CheckSystemSafeAndDeadlockFree(sys);
     if (!report.ok() || !report->safe_and_deadlock_free) {
@@ -471,19 +444,6 @@ int RunRunCommand(int argc, char** argv) {
           "under --policy detect, wound-wait, or wait-die instead\n",
           report.ok() ? "" : " — static analysis failed: ",
           report.ok() ? "" : report.status().ToString().c_str());
-      return 2;
-    }
-    if (auto mixed = FindMixedModeEntity(sys)) {
-      std::fprintf(
-          stderr,
-          "wydb_analyze: refusing the no-detection fast path: entity '%s' "
-          "is locked shared by %s and exclusive by %s, and the lock table "
-          "queues a shared request behind a queued exclusive one, which "
-          "the certification does not model; run under --policy detect, "
-          "wound-wait, or wait-die instead\n",
-          sys.db().EntityName(mixed->entity).c_str(),
-          sys.txn(mixed->shared_txn).name().c_str(),
-          sys.txn(mixed->exclusive_txn).name().c_str());
       return 2;
     }
     std::printf(
