@@ -5,8 +5,12 @@
 // coNP-completeness.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "analysis/sat/dpll.h"
 #include "analysis/sat/reduction.h"
+#include "analysis/sat/threesat_prime.h"
 #include "core/reduction_graph.h"
 
 namespace wydb {
@@ -21,16 +25,49 @@ CnfFormula Instance(int vars, uint64_t seed) {
   return std::move(*f);
 }
 
-// A satisfiable instance (tries successive seeds; random 3SAT' is
-// satisfiable with decent probability, e.g. whenever no clause is
-// all-negative).
+bool Mentions(const std::vector<Literal>& clause, int var) {
+  return std::any_of(clause.begin(), clause.end(),
+                     [&](const Literal& l) { return l.var == var; });
+}
+
+int Positives(const std::vector<Literal>& clause) {
+  return static_cast<int>(std::count_if(
+      clause.begin(), clause.end(),
+      [](const Literal& l) { return l.positive; }));
+}
+
+// A satisfiable instance, by construction: the random 3SAT' instance of
+// `seed` with a positive literal moved into every all-negative clause, so
+// the all-true assignment is a model. (At the default ceil(3n/2) clauses
+// random 3SAT' is almost never satisfiable from 32 variables up: nearly
+// every instance has an all-negative clause.) Each fix swaps a negative
+// literal of the all-negative clause with a positive one of a clause
+// that keeps another positive literal, so every variable still occurs
+// twice positive and once negative, and the 3SAT' shape holds.
 CnfFormula SatInstance(int vars, uint64_t seed) {
-  for (uint64_t s = seed; s < seed + 64; ++s) {
-    CnfFormula f = Instance(vars, s);
-    auto r = SolveDpll(f);
-    if (r.ok() && r->satisfiable) return f;
+  std::vector<std::vector<Literal>> clauses = Instance(vars, seed).clauses();
+  for (std::vector<Literal>& a : clauses) {
+    bool fixed = Positives(a) > 0;
+    for (Literal& neg : a) {
+      for (std::vector<Literal>& b : clauses) {
+        if (fixed || Positives(b) < 2 || Mentions(b, neg.var)) continue;
+        for (Literal& pos : b) {
+          if (pos.positive && !Mentions(a, pos.var)) {
+            std::swap(neg, pos);
+            fixed = true;
+            break;
+          }
+        }
+      }
+    }
+    if (!fixed) std::abort();
   }
-  std::abort();
+  CnfFormula f(vars, std::move(clauses));
+  if (!ValidateThreeSatPrime(f).ok() ||
+      !f.IsSatisfiedBy(std::vector<bool>(vars, true))) {
+    std::abort();
+  }
+  return f;
 }
 
 void BM_ReductionConstruction(benchmark::State& state) {

@@ -44,7 +44,7 @@ struct DeadlockCheckOptions {
   /// one). 0 = the WYDB_SEARCH_THREADS environment variable when set,
   /// else the hardware concurrency. Results are identical for every value.
   int search_threads = 0;
-  /// Store memory mode (DESIGN.md §9): key encoding + spill watermark.
+  /// Store memory mode (DESIGN.md §9): the key encoding.
   /// Every engine takes every mode except kCompact under kReduced
   /// (reduced witness replay reads ancestor keys, which compaction
   /// discards).
@@ -73,8 +73,9 @@ struct DeadlockReport {
   /// reached — the memory-side cost metric behind `--stats`. On a
   /// deadlock-free run this is the full reachable-state count (the
   /// orbit-representative count under kReduced). On witness-bearing runs
-  /// it counts the levels committed before the witness level, which a
-  /// serial pop loop would not reproduce.
+  /// it counts the levels, and the windows of the witness level,
+  /// committed before the witness window, which a serial pop loop would
+  /// not reproduce.
   uint64_t states_interned = 0;
   /// Expansions skipped by kReduced's persistent-move (sleep-set)
   /// pruning; 0 for the exhaustive engines.
@@ -89,8 +90,9 @@ struct DeadlockReport {
   uint64_t store_bytes = 0;
   uint64_t arena_bytes = 0;
   uint64_t probe_table_bytes = 0;
-  /// BFS levels whose staged frontier hit the spill file.
-  uint64_t spilled_levels = 0;
+  /// Bytes staged in the largest committed window of the search
+  /// (level_search.h): the bound on staging memory.
+  uint64_t peak_staging_bytes = 0;
   /// False when the verdict came from a hash-compacted (fingerprint)
   /// search: sound for refutation, not a certificate. Witnesses replay
   /// concretely and stay trustworthy either way.

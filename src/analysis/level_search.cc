@@ -1,5 +1,6 @@
 #include "analysis/level_search.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -29,8 +30,7 @@ LevelSearchBase::LevelSearchBase(const LevelSearchLimits& limits,
       store_(key_words, aux_words,
              /*num_shards=*/pool_.threads() == 1 ? 2 : 4 * pool_.threads(),
              limits.store),
-      stager_(&store_, &pool_, limits.store.mem_budget_mb << 20,
-              kChunkStates),
+      window_(kWindowChunks),
       has_deadline_(limits.deadline !=
                     std::chrono::steady_clock::time_point{}) {
   store_.set_canonicalizer(canonicalizer);
@@ -62,7 +62,7 @@ bool LevelSearchBase::ChunkExpired() {
   return false;
 }
 
-bool LevelSearchBase::EndLevelPolls() {
+bool LevelSearchBase::EndWindowPolls() {
   deadline_polls_ += worker_polls_.exchange(0, std::memory_order_relaxed);
   return deadline_hit_.load(std::memory_order_relaxed);
 }
@@ -85,14 +85,11 @@ Status LevelSearchBase::Finish(uint32_t id) {
   return Status::OK();
 }
 
-Status LevelSearchBase::CommitLevel() {
-  if (!stager_.Commit()) {
-    return Status::Internal("frontier spill read-back failed");
-  }
-  // Hash compaction keeps only the frontier's key/aux words resident;
-  // every level below it has been fully expanded. No-op otherwise.
-  store_.RetireExpanded();
-  return Status::OK();
+void LevelSearchBase::CommitWindow(size_t chunks) {
+  uint64_t bytes = 0;
+  for (size_t c = 0; c < chunks; ++c) bytes += store_.StagingBytes(window_[c]);
+  peak_staging_bytes_ = std::max(peak_staging_bytes_, bytes);
+  store_.CommitStaged(&window_, chunks, &pool_);
 }
 
 double LevelSearchBase::CollisionBound() const {

@@ -11,12 +11,21 @@
 //      created): the flagged states of the level are decided in id order
 //      — the first one the policy confirms is the witness, the others
 //      are pruned.
-//   2. Expand (parallel, work-stealing chunks of the level): generate
-//      each state's moves, test the policy's per-state witness predicate
-//      (policies that recognize terminal states when they are expanded),
-//      and stage every child into the chunk's staging buffer.
-//   3. Commit: ShardedStateStore dedups every shard in parallel and ranks
-//      the fresh states in staging (= serial Intern) order.
+//   2. Expand (parallel, work-stealing chunks of one window of the
+//      level): generate each state's moves, test the policy's per-state
+//      witness predicate (policies that recognize terminal states when
+//      they are expanded), and stage every child into the chunk's
+//      staging buffer.
+//   3. Commit the window: ShardedStateStore dedups every shard in
+//      parallel and ranks the fresh states in staging (= serial Intern)
+//      order.
+//
+// Steps 2 and 3 alternate over fixed windows of kWindowStates states, so
+// staging never holds more than one window's children. Sequential
+// commits in chunk order are id-identical to one commit of the whole
+// level (state_store.h), so the window size changes no id, parent or
+// dedup decision; a level of at most one window is one expand and one
+// commit.
 //
 // The witness with the smallest id wins, and the state budget is charged
 // exactly as a serial pop counter would be (states_visited = witness + 1,
@@ -64,7 +73,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/frontier_spill.h"
 #include "core/state_space.h"
 #include "core/state_store.h"
 
@@ -131,7 +139,7 @@ class LevelSearchBase {
     report->store_bytes = m.total();
     report->arena_bytes = m.arena_bytes;
     report->probe_table_bytes = m.probe_bytes;
-    report->spilled_levels = stager_.spilled_levels();
+    report->peak_staging_bytes = peak_staging_bytes_;
     if (store_.options().encoding == StoreOptions::KeyEncoding::kCompact) {
       report->exact = false;
       report->fingerprint_collision_bound = CollisionBound();
@@ -141,6 +149,10 @@ class LevelSearchBase {
  protected:
   /// States per ParallelFor chunk (and per staging buffer).
   static constexpr size_t kChunkStates = 64;
+  /// Chunks per window: a level is expanded and committed 4096 states at
+  /// a time.
+  static constexpr size_t kWindowChunks = 64;
+  static constexpr size_t kWindowStates = kWindowChunks * kChunkStates;
   /// How often the serial flag scan polls the deadline, in states.
   static constexpr size_t kScanPollStride = 2048;
 
@@ -151,11 +163,11 @@ class LevelSearchBase {
   /// Serial deadline poll, counted in deadline_polls.
   bool DeadlinePassed();
   /// Worker poll at chunk entry: true once any worker saw the deadline
-  /// pass, so the rest of the level is skipped.
+  /// pass, so the rest of the window is skipped.
   bool ChunkExpired();
-  /// Folds the worker polls into deadline_polls; true if the level
+  /// Folds the worker polls into deadline_polls; true if the window
   /// expired (its staged children must not be committed).
-  bool EndLevelPolls();
+  bool EndWindowPolls();
   /// True when `pops` serial pops would exceed the budget.
   bool OverBudget(uint64_t pops) const {
     return limits_.max_states != 0 && pops > limits_.max_states;
@@ -164,15 +176,19 @@ class LevelSearchBase {
   Status DeadlineError() const;
   /// Records `id` as the witness, unless popping it exceeds the budget.
   Status Finish(uint32_t id);
-  /// Commits the staged level and retires expanded levels (kCompact).
-  Status CommitLevel();
+  /// Commits the first `chunks` staging buffers of the window, in chunk
+  /// order, and records their bytes in peak_staging_bytes.
+  void CommitWindow(size_t chunks);
   void MarkExhausted() { states_visited_ = store_.size(); }
 
   const LevelSearchLimits limits_;
   ThreadPool pool_;
   ShardedStateStore store_;
-  FrontierStager stager_;
+  /// The window's kWindowChunks staging buffers, reused across windows
+  /// and levels.
+  std::vector<ShardedStateStore::Staging> window_;
   uint64_t sleep_set_pruned_ = 0;
+  uint64_t peak_staging_bytes_ = 0;
 
  private:
   double CollisionBound() const;
@@ -206,8 +222,8 @@ class LevelSearch : public LevelSearchBase {
   }
 
   /// Runs the search to a witness or to exhaustion. Errors are
-  /// ResourceExhausted (budget, deadline), Internal (spill I/O) or
-  /// whatever the policy's Confirm returns.
+  /// ResourceExhausted (budget, deadline) or whatever the policy's
+  /// Confirm returns.
   Status Run() {
     Status status = RunLevels();
     for (const Worker& w : workers_) sleep_set_pruned_ += w.pruned;
@@ -235,7 +251,8 @@ class LevelSearch : public LevelSearchBase {
   Status RunLevels();
   /// Phase 1: the flagged states of [begin, end), in id order.
   Result<uint32_t> ScanFlagged(size_t begin, size_t end);
-  /// Phase 2: expands [begin, end); returns the level's minimum witness.
+  /// Phases 2 and 3: expands [begin, end) window by window, committing
+  /// each window's children; returns the level's minimum witness.
   /// `stage` false skips the children (the level is the budget's last).
   Result<uint32_t> ExpandLevel(size_t begin, size_t end, bool stage);
   void ExpandChunk(Worker& w, ShardedStateStore::Staging& staging,
@@ -273,7 +290,9 @@ Status LevelSearch<kExpansion, Policy>::RunLevels() {
                           ExpandLevel(level_begin, level_end, !last_level));
     if (witness != kNoWitness) return Finish(witness);
     if (last_level) return BudgetError();
-    WYDB_RETURN_IF_ERROR(CommitLevel());
+    // Hash compaction keeps only the frontier's key/aux words resident;
+    // every level below it has been fully expanded. No-op otherwise.
+    store_.RetireExpanded();
     level_begin = level_end;
   }
   MarkExhausted();
@@ -304,33 +323,36 @@ Result<uint32_t> LevelSearch<kExpansion, Policy>::ExpandLevel(size_t begin,
                                                               size_t end,
                                                               bool stage) {
   for (Worker& w : workers_) w.witness = kNoWitness;
-  // The level is staged in bounded windows, between which the stager may
-  // spill to disk (one window spans the level without a memory budget).
   // Ids ascend across windows, so the first window holding a witness
-  // holds the level's minimum and later windows need not run.
-  const size_t level_size = end - begin;
+  // holds the level's minimum. Neither it nor any later window is
+  // committed: children of the witness level are never observed.
   uint32_t witness = kNoWitness;
-  size_t done = 0;
-  while (done < level_size) {
-    const size_t count = std::min(stager_.window_states(), level_size - done);
-    ShardedStateStore::Staging* window = stager_.PrepareWindow(count);
-    const size_t base = begin + done;
+  for (size_t base = begin; base < end; base += kWindowStates) {
+    const size_t count = std::min(kWindowStates, end - base);
+    const size_t chunks = (count + kChunkStates - 1) / kChunkStates;
+    const bool stage_window = stage && witness == kNoWitness;
+    if (stage_window) {
+      for (size_t c = 0; c < chunks; ++c) store_.ResetStaging(&window_[c]);
+    }
     pool_.ParallelFor(count, kChunkStates,
                       [&](size_t b, size_t e, int worker) {
-                        if (ChunkExpired()) return;  // Level aborts below.
-                        ExpandChunk(workers_[worker], window[b / kChunkStates],
-                                    base + b, base + e, stage);
+                        if (ChunkExpired()) return;  // Window aborts below.
+                        ExpandChunk(workers_[worker], window_[b / kChunkStates],
+                                    base + b, base + e, stage_window);
                       });
-    done += count;
     for (const Worker& w : workers_) witness = std::min(witness, w.witness);
-    if (witness != kNoWitness) break;
-    if (stage && !stager_.EndWindow()) {
-      return Status::Internal("frontier spill write failed");
+    // Skipped chunks may hide the minimum witness, so an expired window
+    // reports the deadline, never a possibly-non-minimal witness.
+    if (EndWindowPolls()) return DeadlineError();
+    if (witness == kNoWitness) {
+      if (stage) CommitWindow(chunks);
+      continue;
     }
+    // The reduced expansion runs the windows past the witness without
+    // staging, because its sleep_set_pruned count covers the whole level
+    // at every thread count.
+    if constexpr (kExpansion == Expansion::kFull) break;
   }
-  // Skipped chunks may hide the minimum witness, so an expired level
-  // reports the deadline, never a possibly-non-minimal witness.
-  if (EndLevelPolls()) return DeadlineError();
   return witness;
 }
 
@@ -360,8 +382,8 @@ void LevelSearch<kExpansion, Policy>::ExpandChunk(
     }
     if constexpr (!Policy::kCreationFlags) {
       if (policy_->IsWitness(key, w.moves)) {
-        // Children of a witness are never observed; the level's staged
-        // children are discarded anyway.
+        // Children of a witness are never observed; its window is never
+        // committed.
         w.witness = std::min(w.witness, id);
         continue;
       }

@@ -14,7 +14,7 @@ constexpr size_t kInitialShardSlots = 256;   // Power of two.
 constexpr uint64_t kDuplicate = ~0ULL;       // fresh_marks_ sentinel.
 
 // LEB128 varints for the delta key records (DESIGN.md §9.1). Records are
-// process-local (arena or spill file), so no cross-host format concerns.
+// process-local, so no cross-host format concerns.
 void PutVarint(std::vector<uint8_t>* out, uint64_t v) {
   while (v >= 0x80) {
     out->push_back(static_cast<uint8_t>(v) | 0x80);
@@ -387,8 +387,8 @@ size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
   const bool compact =
       options_.encoding == StoreOptions::KeyEncoding::kCompact;
   // The retire boundary is the shard occupancy at the *first* commit
-  // since the last RetireExpanded: a spilled level commits in several
-  // batches, all of which belong to the same (unexpanded) frontier.
+  // since the last RetireExpanded: a level commits one batch per window,
+  // all of which belong to the same (unexpanded) frontier.
   if (compact && !retire_base_valid_) {
     retire_base_.resize(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
@@ -604,70 +604,6 @@ void ShardedStateStore::RetireExpanded() {
   generation_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool ShardedStateStore::WriteStaging(std::FILE* file,
-                                     const Staging& staging) const {
-  auto put = [&](const void* data, size_t bytes) {
-    return bytes == 0 || std::fwrite(data, 1, bytes, file) == bytes;
-  };
-  const uint64_t count = staging.count_;
-  if (!put(&count, sizeof(count))) return false;
-  const bool delta = options_.encoding == StoreOptions::KeyEncoding::kDelta;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const uint64_t sizes[3] = {
-        staging.words_[s].size(), staging.pending_[s].size(),
-        delta ? static_cast<uint64_t>(staging.recs_[s].size()) : 0};
-    if (!put(sizes, sizeof(sizes))) return false;
-    if (!put(staging.words_[s].data(), sizes[0] * sizeof(uint64_t))) {
-      return false;
-    }
-    if (!put(staging.pending_[s].data(),
-             sizes[1] * sizeof(Staging::Pending))) {
-      return false;
-    }
-    if (delta) {
-      if (!put(staging.recs_[s].data(), sizes[2])) return false;
-      if (!put(staging.rec_lens_[s].data(), sizes[1] * sizeof(uint32_t))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool ShardedStateStore::ReadStaging(std::FILE* file, Staging* staging) const {
-  auto get = [&](void* data, size_t bytes) {
-    return bytes == 0 || std::fread(data, 1, bytes, file) == bytes;
-  };
-  ResetStaging(staging);
-  uint64_t count = 0;
-  if (!get(&count, sizeof(count))) return false;
-  staging->count_ = static_cast<uint32_t>(count);
-  const bool delta = options_.encoding == StoreOptions::KeyEncoding::kDelta;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    uint64_t sizes[3] = {0, 0, 0};
-    if (!get(sizes, sizeof(sizes))) return false;
-    staging->words_[s].resize(sizes[0]);
-    staging->pending_[s].resize(sizes[1]);
-    if (!get(staging->words_[s].data(), sizes[0] * sizeof(uint64_t))) {
-      return false;
-    }
-    if (!get(staging->pending_[s].data(),
-             sizes[1] * sizeof(Staging::Pending))) {
-      return false;
-    }
-    if (delta) {
-      staging->recs_[s].resize(sizes[2]);
-      staging->rec_lens_[s].resize(sizes[1]);
-      if (!get(staging->recs_[s].data(), sizes[2])) return false;
-      if (!get(staging->rec_lens_[s].data(),
-               sizes[1] * sizeof(uint32_t))) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 uint64_t ShardedStateStore::StagingBytes(const Staging& staging) const {
   uint64_t bytes = 0;
   for (size_t s = 0; s < staging.words_.size(); ++s) {
@@ -707,10 +643,6 @@ StoreMemoryStats ShardedStateStore::MemoryStats() const {
     m.link_bytes += shard.parents.capacity() * sizeof(ParentLink);
   }
   return m;
-}
-
-size_t ShardedStateStore::MemoryBytes() const {
-  return MemoryStats().total();
 }
 
 }  // namespace wydb

@@ -36,16 +36,13 @@
 // kDelta stores a varint (parent, xor-delta) record per state and
 // reconstructs keys on demand through a per-worker decode cache, exactness
 // unchanged; kCompact keeps only a 64-bit fingerprint per state (sound for
-// refutation, not for certification). A nonzero memory budget additionally
-// lets callers spill staged frontier chunks to disk between commits (see
-// core/frontier_spill.h).
+// refutation, not for certification).
 #ifndef WYDB_CORE_STATE_STORE_H_
 #define WYDB_CORE_STATE_STORE_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <vector>
 
 #include "common/macros.h"
@@ -55,9 +52,9 @@ namespace wydb {
 
 class ThreadPool;
 
-/// \brief How a ShardedStateStore represents state identity, plus the
-/// memory watermark for frontier spill. Threaded from the CLI through
-/// both checkers' options down to the store (DESIGN.md §9).
+/// \brief How a ShardedStateStore represents state identity. Threaded
+/// from the CLI through both checkers' options down to the store
+/// (DESIGN.md §9).
 struct StoreOptions {
   enum class KeyEncoding {
     /// Full key words in the arena (the default; exact).
@@ -71,9 +68,6 @@ struct StoreOptions {
     kCompact,
   };
   KeyEncoding encoding = KeyEncoding::kPlain;
-  /// Memory watermark in MiB for frontier spill (0 = never spill). The
-  /// store itself only records this; FrontierStager enforces it.
-  uint64_t mem_budget_mb = 0;
 };
 
 /// \brief Arena/probe byte breakdown for the --stats memory counters.
@@ -283,8 +277,8 @@ class StateStore {
 /// CommitStaged batches (in chunk order) yields the same ids, parents,
 /// and dedup decisions as one big commit — later batches dedup against
 /// a table that already holds the earlier ones, and first-staged-
-/// occurrence-wins holds across batch boundaries. FrontierStager relies
-/// on this to commit a spilled level in bounded-memory batches.
+/// occurrence-wins holds across batch boundaries. The search driver
+/// relies on this to commit each level one bounded window at a time.
 ///
 /// Between commits the store is read-only and safe to read from any
 /// thread; Stage() writes only to the caller's Staging buffer.
@@ -389,9 +383,8 @@ class ShardedStateStore {
   /// The move sequence from the root to `id`, in execution order.
   std::vector<GlobalNode> PathFromRoot(uint32_t id) const;
 
-  /// Bytes held by the shard arenas, tables, and the global index.
-  size_t MemoryBytes() const;
-  /// The same bytes, broken down for the --stats memory counters.
+  /// Bytes held by the shard arenas, tables, and the global index, broken
+  /// down for the --stats memory counters.
   StoreMemoryStats MemoryStats() const;
 
   /// Per-chunk staging buffer. Reusable across levels (Reset keeps the
@@ -467,14 +460,8 @@ class ShardedStateStore {
   /// (debug-checked). No-op in other encodings.
   void RetireExpanded();
 
-  /// Serializes one staged chunk to `file` (plain fwrite, host byte
-  /// order — the spill file never outlives the process). Returns false
-  /// on I/O error.
-  bool WriteStaging(std::FILE* file, const Staging& staging) const;
-  /// Reads back one chunk written by WriteStaging into `staging`
-  /// (resetting it first). Returns false on EOF or I/O error.
-  bool ReadStaging(std::FILE* file, Staging* staging) const;
-  /// Live bytes currently staged in `staging` (spill accounting).
+  /// Live bytes currently staged in `staging` (the peak_staging_bytes
+  /// counter).
   uint64_t StagingBytes(const Staging& staging) const;
 
  private:

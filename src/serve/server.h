@@ -41,7 +41,7 @@ struct ServerOptions {
   /// full expansion, so under kReduced it runs kIncremental instead.
   SearchEngine engine = SearchEngine::kIncremental;
   int search_threads = 0;
-  /// Store memory mode of every search (DESIGN.md §9). kCompact is
+  /// Store key encoding of every search (DESIGN.md §9). kCompact is
   /// rejected at startup: compacted verdicts are not exact, and a serving
   /// cache must never launder a probabilistic refutation into a
   /// certificate.

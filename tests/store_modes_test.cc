@@ -1,29 +1,28 @@
 // Store memory-mode tests (DESIGN.md §9): delta-encoded keys, hash
-// compaction, and the disk-spillable frontier must keep the engines'
-// bit-identical contract (delta/spill) or its documented relaxation
-// (compact: non-certified verdicts, sound witnesses), across shard,
-// chunk, and thread counts.
+// compaction, and the windowed commit of wide levels must keep the
+// engines' bit-identical contract (plain/delta) or its documented
+// relaxation (compact: non-certified verdicts, sound witnesses), across
+// shard, chunk, batch, and thread counts.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "analysis/deadlock_checker.h"
 #include "analysis/safety_checker.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "core/frontier_spill.h"
 #include "core/state_store.h"
 #include "gen/system_gen.h"
 
 namespace wydb {
 namespace {
 
-StoreOptions DeltaOptions(uint64_t budget_mb = 0) {
+StoreOptions DeltaOptions() {
   StoreOptions o;
   o.encoding = StoreOptions::KeyEncoding::kDelta;
-  o.mem_budget_mb = budget_mb;
   return o;
 }
 
@@ -126,75 +125,104 @@ TEST(DeltaStoreTest, StagedCommitMatchesSerialIntern) {
 }
 
 // ---------------------------------------------------------------------
-// Store level: a staged chunk survives the WriteStaging/ReadStaging
-// round trip, in both encodings — committing the read-back chunks is
-// id-identical to committing the originals.
+// Store level: commits compose. The same staged chunks committed as one
+// batch, or as several sequential batches split at random chunk
+// boundaries, must give the same ids, keys, parents, and moves, in
+// every encoding: the search driver commits every level wider than one
+// window this way.
 
-void CheckSpillRoundTrip(const StoreOptions& options) {
-  const int kw = 2;
-  ShardedStateStore direct(kw, kw, 4, options);
-  ShardedStateStore spilled(kw, kw, 4, options);
-  ThreadPool pool(2);
-  uint64_t root[2] = {0, 0};
-  direct.InternRoot(root);
-  spilled.InternRoot(root);
-
-  Rng rng(7);
-  const size_t kNumKeys = 500;
+/// Stages `num_keys` children of `parents` committed ids of `store` into
+/// chunks of 1-16 states; ~50% of the keys repeat, so dedup happens both
+/// inside a batch and across batch boundaries.
+std::vector<ShardedStateStore::Staging> StageLevel(
+    const ShardedStateStore& store, uint32_t first_parent, uint32_t parents,
+    size_t num_keys, uint64_t seed) {
+  const int kw = store.key_words();
+  Rng rng(seed);
   std::vector<ShardedStateStore::Staging> chunks;
   std::vector<uint64_t> key(kw), aux(kw);
-  size_t staged = 0;
-  for (size_t i = 0; i < kNumKeys;) {
+  ShardedStateStore::KeyDecodeCache decode;
+  for (size_t i = 0; i < num_keys;) {
     chunks.emplace_back();
-    direct.ResetStaging(&chunks.back());
-    for (size_t c = 0; c < 7 && i < kNumKeys; ++c, ++i, ++staged) {
-      uint64_t v = rng.NextBelow(kNumKeys / 2) + 1;
+    store.ResetStaging(&chunks.back());
+    const size_t chunk_size = 1 + rng.NextBelow(16);
+    for (size_t c = 0; c < chunk_size && i < num_keys; ++c, ++i) {
+      const uint64_t v = rng.NextBelow(num_keys / 2) + 1;
       for (int w = 0; w < kw; ++w) {
         key[w] = v * 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(w);
         aux[w] = key[w] ^ 9;
       }
-      direct.Stage(&chunks.back(), key.data(), aux.data(), 0,
-                   GlobalNode{static_cast<int>(staged), 0}, root);
+      const uint32_t parent =
+          first_parent + static_cast<uint32_t>(i % parents);
+      store.Stage(&chunks.back(), key.data(), aux.data(), parent,
+                  GlobalNode{static_cast<int>(i), 1},
+                  store.KeyView(parent, &decode));
     }
   }
+  return chunks;
+}
 
-  std::FILE* file = std::tmpfile();
-  ASSERT_NE(file, nullptr);
-  for (const auto& chunk : chunks) {
-    ASSERT_TRUE(direct.WriteStaging(file, chunk));
+void CheckSplitCommitMatchesOneBatch(const StoreOptions& options,
+                                     uint64_t seed) {
+  const int kw = 2;
+  ShardedStateStore whole(kw, kw, 4, options);
+  ShardedStateStore split(kw, kw, 4, options);
+  ThreadPool pool(2);
+  const uint64_t root[2] = {0, 0};
+  whole.InternRoot(root);
+  split.InternRoot(root);
+
+  // Level 1, one batch in both stores: the parents of the tested level.
+  auto level1 = StageLevel(whole, 0, 1, 300, seed);
+  whole.CommitStaged(&level1, level1.size(), &pool);
+  level1 = StageLevel(split, 0, 1, 300, seed);
+  split.CommitStaged(&level1, level1.size(), &pool);
+  ASSERT_EQ(whole.size(), split.size());
+  const uint32_t parents = static_cast<uint32_t>(whole.size()) - 1;
+
+  // Level 2: one batch against sequential batches of 1-20 chunks.
+  auto chunks = StageLevel(whole, 1, parents, 3000, seed + 1);
+  whole.CommitStaged(&chunks, chunks.size(), &pool);
+  chunks = StageLevel(split, 1, parents, 3000, seed + 1);
+  Rng cut(seed + 2);
+  size_t batches = 0;
+  for (size_t first = 0; first < chunks.size(); ++batches) {
+    const size_t n =
+        std::min<size_t>(1 + cut.NextBelow(20), chunks.size() - first);
+    std::vector<ShardedStateStore::Staging> batch(
+        std::make_move_iterator(chunks.begin() + first),
+        std::make_move_iterator(chunks.begin() + first + n));
+    split.CommitStaged(&batch, n, &pool);
+    first += n;
   }
-  std::rewind(file);
-  std::vector<ShardedStateStore::Staging> readback(chunks.size());
-  for (auto& chunk : readback) {
-    ASSERT_TRUE(spilled.ReadStaging(file, &chunk));
-  }
-  std::fclose(file);
+  ASSERT_GT(batches, 1u);
 
-  direct.CommitStaged(&chunks, chunks.size(), &pool);
-  spilled.CommitStaged(&readback, readback.size(), &pool);
-
-  ASSERT_EQ(direct.size(), spilled.size());
+  ASSERT_EQ(whole.size(), split.size());
   ShardedStateStore::KeyDecodeCache da, db;
-  for (uint32_t id = 0; id < direct.size(); ++id) {
-    ASSERT_EQ(std::memcmp(direct.KeyView(id, &da), spilled.KeyView(id, &db),
+  for (uint32_t id = 0; id < whole.size(); ++id) {
+    ASSERT_EQ(std::memcmp(whole.KeyView(id, &da), split.KeyView(id, &db),
                           kw * sizeof(uint64_t)),
               0)
         << "id " << id;
-    ASSERT_EQ(direct.ParentOf(id), spilled.ParentOf(id)) << "id " << id;
-    ASSERT_EQ(direct.MoveOf(id), spilled.MoveOf(id)) << "id " << id;
+    ASSERT_EQ(whole.ParentOf(id), split.ParentOf(id)) << "id " << id;
+    ASSERT_EQ(whole.MoveOf(id), split.MoveOf(id)) << "id " << id;
   }
 }
 
-TEST(FrontierSpillTest, StagingRoundTripIsIdIdenticalPlain) {
-  CheckSpillRoundTrip(StoreOptions{});
-}
-
-TEST(FrontierSpillTest, StagingRoundTripIsIdIdenticalDelta) {
-  CheckSpillRoundTrip(DeltaOptions());
+TEST(CommitCompositionTest, SplitBatchesAreIdIdenticalToOneBatch) {
+  for (const StoreOptions& options :
+       {StoreOptions{}, DeltaOptions(), CompactOptions()}) {
+    for (uint64_t seed : {7u, 8u, 9u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "encoding " << static_cast<int>(options.encoding)
+                   << " seed " << seed);
+      CheckSplitCommitMatchesOneBatch(options, seed);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
-// Engine level: delta and spill runs must be bit-identical to the plain
+// Engine level: delta runs must be bit-identical to the plain
 // parallel engine — verdicts, visited/interned counts, and witnesses —
 // at every thread count; compact must agree on verdicts (collisions at
 // these sizes are ~2^-40) while marking itself non-exact.
@@ -210,12 +238,6 @@ std::vector<ModeCase> BitIdenticalModes() {
       {"delta/t1", DeltaOptions(), 1},
       {"delta/t2", DeltaOptions(), 2},
       {"delta/t4", DeltaOptions(), 4},
-      {"delta+spill/t2", DeltaOptions(/*budget_mb=*/1), 2},
-      {"plain+spill/t2", [] {
-         StoreOptions o;
-         o.mem_budget_mb = 1;
-         return o;
-       }(), 2},
   };
 }
 
@@ -288,8 +310,8 @@ TEST(StoreModeCrossval, DeadlockAndSafetyBitIdenticalToPlain) {
   }
 }
 
-// The reduced engine composes with delta (and spill): same reduced-space
-// ids, counts, and violations as its plain-store run.
+// The reduced engine composes with delta: same reduced-space ids,
+// counts, and violations as its plain-store run.
 TEST(StoreModeCrossval, ReducedEngineComposesWithDelta) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     RandomSystemOptions opts;
@@ -305,29 +327,29 @@ TEST(StoreModeCrossval, ReducedEngineComposesWithDelta) {
     ref.search_threads = 2;
     auto b = CheckDeadlockFreedom(s, ref);
     ASSERT_TRUE(b.ok());
-    for (uint64_t budget : {0ull, 1ull}) {
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " budget "
-                                      << budget);
-      DeadlockCheckOptions fast = ref;
-      fast.store = DeltaOptions(budget);
-      auto a = CheckDeadlockFreedom(s, fast);
-      ASSERT_TRUE(a.ok());
-      ASSERT_EQ(a->deadlock_free, b->deadlock_free);
-      ASSERT_EQ(a->states_visited, b->states_visited);
-      ASSERT_EQ(a->sleep_set_pruned, b->sleep_set_pruned);
-      ASSERT_EQ(a->witness.has_value(), b->witness.has_value());
-      if (a->witness.has_value()) {
-        EXPECT_EQ(a->witness->schedule, b->witness->schedule);
-      }
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    DeadlockCheckOptions fast = ref;
+    fast.store = DeltaOptions();
+    auto a = CheckDeadlockFreedom(s, fast);
+    ASSERT_TRUE(a.ok());
+    ASSERT_EQ(a->deadlock_free, b->deadlock_free);
+    ASSERT_EQ(a->states_visited, b->states_visited);
+    ASSERT_EQ(a->sleep_set_pruned, b->sleep_set_pruned);
+    ASSERT_EQ(a->witness.has_value(), b->witness.has_value());
+    if (a->witness.has_value()) {
+      EXPECT_EQ(a->witness->schedule, b->witness->schedule);
     }
   }
 }
 
 // ---------------------------------------------------------------------
-// A big enough search under a 1 MiB budget must actually hit the spill
-// file — and still match the unbounded plain run exactly.
+// Engine level: the 12-worker farm's widest deadlock level holds 5,544
+// states, more than one window, so its search commits that level in
+// several batches. Plain and delta must agree at every thread count, and
+// every run must report the staging bound. Compact must agree too: its
+// retire boundary has to hold across the window commits of a level.
 
-TEST(FrontierSpillTest, BudgetedFarmSpillsAndMatchesUnbounded) {
+TEST(WindowedCommitTest, WideFarmAgreesAcrossEncodingsAndThreads) {
   ReplicatedFarmOptions fopts;
   fopts.workers = 12;  // (2.5*12+1)*2^12 = 126,976 reachable states.
   fopts.entities = 3;
@@ -336,25 +358,40 @@ TEST(FrontierSpillTest, BudgetedFarmSpillsAndMatchesUnbounded) {
   auto sys = GenerateReplicatedFarm(fopts);
   ASSERT_TRUE(sys.ok());
 
-  DeadlockCheckOptions plain;
-  plain.engine = SearchEngine::kParallelSharded;
-  plain.search_threads = 2;
-  auto unbounded = CheckDeadlockFreedom(*sys->system, plain);
-  ASSERT_TRUE(unbounded.ok());
-  ASSERT_TRUE(unbounded->deadlock_free);
-  ASSERT_EQ(unbounded->spilled_levels, 0u);
-  ASSERT_GT(unbounded->store_bytes, 1u << 20);  // The budget below binds.
+  DeadlockCheckOptions ref;
+  ref.engine = SearchEngine::kParallelSharded;
+  ref.search_threads = 1;
+  auto first = CheckDeadlockFreedom(*sys->system, ref);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->deadlock_free);
 
-  DeadlockCheckOptions budgeted = plain;
-  budgeted.store = DeltaOptions(/*budget_mb=*/1);
-  auto spilled = CheckDeadlockFreedom(*sys->system, budgeted);
-  ASSERT_TRUE(spilled.ok());
-  EXPECT_GT(spilled->spilled_levels, 0u);
-  EXPECT_TRUE(spilled->deadlock_free);
-  EXPECT_EQ(spilled->states_visited, unbounded->states_visited);
-  EXPECT_EQ(spilled->states_interned, unbounded->states_interned);
-  // Delta keys must be strictly smaller than plain keys at this scale.
-  EXPECT_LT(spilled->arena_bytes, unbounded->arena_bytes);
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    DeadlockCheckOptions opts = ref;
+    opts.search_threads = threads;
+    auto plain = CheckDeadlockFreedom(*sys->system, opts);
+    opts.store = DeltaOptions();
+    auto delta = CheckDeadlockFreedom(*sys->system, opts);
+    ASSERT_TRUE(plain.ok());
+    ASSERT_TRUE(delta.ok());
+    for (const DeadlockReport* r : {&*plain, &*delta}) {
+      EXPECT_TRUE(r->deadlock_free);
+      EXPECT_EQ(r->states_visited, first->states_visited);
+      EXPECT_EQ(r->states_interned, first->states_interned);
+      EXPECT_GT(r->peak_staging_bytes, 0u);
+    }
+    // Staging is a function of the level, not of the thread count.
+    EXPECT_EQ(plain->peak_staging_bytes, first->peak_staging_bytes);
+    // Delta keys must be strictly smaller than plain keys at this scale.
+    EXPECT_LT(delta->arena_bytes, plain->arena_bytes);
+
+    opts.store = CompactOptions();
+    auto compact = CheckDeadlockFreedom(*sys->system, opts);
+    ASSERT_TRUE(compact.ok());
+    EXPECT_TRUE(compact->deadlock_free);
+    EXPECT_EQ(compact->states_visited, first->states_visited);
+    EXPECT_EQ(compact->states_interned, first->states_interned);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -453,7 +490,7 @@ TEST(StoreModeValidation, IncrementalEngineTakesEveryMemoryMode) {
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(sb.ok());
   for (const StoreOptions& store :
-       {DeltaOptions(), DeltaOptions(/*budget_mb=*/1), CompactOptions()}) {
+       {DeltaOptions(), CompactOptions()}) {
     DeadlockCheckOptions d;
     d.store = store;
     auto a = CheckDeadlockFreedom(*ring->system, d);

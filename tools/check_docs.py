@@ -120,7 +120,7 @@ STATS_LINE_RE = re.compile(
     r"^    stats: states_interned=\d+ sleep_set_pruned=\d+"
     r" deadline_polls=\d+"
     r" orbits=\d+ largest_orbit=\d+ bytes_per_state=\d+(?:\.\d+)?"
-    r" arena_bytes=\d+ probe_table_bytes=\d+ spilled_levels=\d+"
+    r" arena_bytes=\d+ probe_table_bytes=\d+ peak_staging_bytes=\d+"
     r" fingerprint_collision_bound=[0-9.eE+-]+$",
     re.MULTILINE,
 )
@@ -205,9 +205,10 @@ def check_cli_smoke(binary: Path) -> list[str]:
         ([str(sample), "--store-encoding"], 2, "needs a value", None),
         ([str(sample), "--store-encoding", "bogus"], 2,
          "plain, delta, or compact", None),
-        ([str(sample), "--mem-budget-mb"], 2, "needs a value", None),
-        ([str(sample), "--mem-budget-mb", "four"], 2,
-         "non-negative integer", None),
+        # Staging is bounded by committing each search window as it is
+        # expanded; no flag sets a memory budget.
+        ([str(sample), "--mem-budget-mb", "64"], 2, "unknown option",
+         None),
         ([str(sample), "--max-states"], 2, "needs a value", None),
         ([str(sample), "--max-states", "many"], 2,
          "non-negative integer", None),
@@ -225,8 +226,6 @@ def check_cli_smoke(binary: Path) -> list[str]:
           "--stats"], 1, None, (STATS_LINE_RE, 2)),
         ([str(sample), "--store-encoding", "compact", "--allow-compaction",
           "--stats"], 1, None, (STATS_LINE_RE, 2)),
-        ([str(sample), "--mem-budget-mb", "1", "--stats"], 1, None,
-         (STATS_LINE_RE, 2)),
         # Live-engine `run` misuse contract (DESIGN.md §10): bad flags
         # exit 2 before any thread starts.
         (["run"], 2, "usage", None),
@@ -342,6 +341,7 @@ def check_serve_smoke(binary: Path) -> list[str]:
         # I/O failure, not flag misuse: exits 2 but without usage.
         (["--preload", "/no/such/file.wydb", "--no-usage"], "cannot open"),
         (["--no-such-option"], "unknown option"),
+        (["--mem-budget-mb", "64"], "unknown option"),
         # Fault-tolerant serving knobs (docs/SERVE.md): the session cap
         # must admit at least one session, and the journal tuning flags
         # are meaningless without a journal to tune.

@@ -62,7 +62,7 @@ Analysis options:
   --stats            print a per-check stats line (states interned,
                      sleep-set pruned expansions, symmetry orbits,
                      store bytes/state, arena and probe-table bytes,
-                     spilled levels, fingerprint collision bound);
+                     peak staging bytes, fingerprint collision bound);
                      implies --exact
   --store-encoding <c>  exact-checker state-store key encoding: plain
                      (default), delta (varint parent-delta records in a
@@ -71,10 +71,6 @@ Analysis options:
                      of full keys; probabilistic, needs
                      --allow-compaction; not with the reduced engine);
                      implies --exact
-  --mem-budget-mb <m>  spill staged search frontiers to a temporary
-                     file whenever the store plus staging exceed <m>
-                     MiB, bounding BFS memory by disk instead of RAM
-                     (0 = never spill); implies --exact
   --max-states <n>   per-check state budget for the exact oracles
                      (default 5000000; a search past it returns
                      ResourceExhausted; 0 keeps the default); implies
@@ -853,10 +849,6 @@ int main(int argc, char** argv) {
       } else {
         return Fail("--store-encoding wants plain, delta, or compact");
       }
-    } else if (!std::strcmp(argv[a], "--mem-budget-mb")) {
-      if (a + 1 >= argc) FailMissingValue("--mem-budget-mb");
-      exact = true;
-      store.mem_budget_mb = ParseCountFlag("--mem-budget-mb", argv[++a]);
     } else if (!std::strcmp(argv[a], "--max-states")) {
       if (a + 1 >= argc) FailMissingValue("--max-states");
       exact = true;
@@ -1002,7 +994,7 @@ int main(int argc, char** argv) {
           "    stats: states_interned=%llu sleep_set_pruned=%llu "
           "deadline_polls=%llu orbits=%d largest_orbit=%d "
           "bytes_per_state=%.1f arena_bytes=%llu probe_table_bytes=%llu "
-          "spilled_levels=%llu fingerprint_collision_bound=%.3g\n",
+          "peak_staging_bytes=%llu fingerprint_collision_bound=%.3g\n",
           static_cast<unsigned long long>(r.states_interned),
           static_cast<unsigned long long>(r.sleep_set_pruned),
           static_cast<unsigned long long>(r.deadline_polls),
@@ -1010,7 +1002,7 @@ int main(int argc, char** argv) {
           static_cast<double>(r.store_bytes) / static_cast<double>(denom),
           static_cast<unsigned long long>(r.arena_bytes),
           static_cast<unsigned long long>(r.probe_table_bytes),
-          static_cast<unsigned long long>(r.spilled_levels),
+          static_cast<unsigned long long>(r.peak_staging_bytes),
           r.fingerprint_collision_bound);
     };
     arm_deadline(&dopts.deadline);

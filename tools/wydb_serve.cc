@@ -78,8 +78,6 @@ Options:
                      delta; compact is refused — a verdict cache must
                      never hold a probabilistic refutation as a
                      certificate
-  --mem-budget-mb <m>  spill search frontiers to disk past <m> MiB
-                     (0 = never)
   --preload <file>   certify <file> at startup and seed the cache with
                      the result (repeatable)
 
@@ -359,9 +357,6 @@ int main(int argc, char** argv) {
       } else {
         return Fail("--store-encoding wants plain or delta");
       }
-    } else if (!std::strcmp(argv[a], "--mem-budget-mb")) {
-      options.store.mem_budget_mb =
-          ParseCountFlag("--mem-budget-mb", next("--mem-budget-mb"));
     } else if (!std::strcmp(argv[a], "--preload")) {
       preloads.push_back(next("--preload"));
     } else {
