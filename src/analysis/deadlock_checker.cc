@@ -36,6 +36,7 @@ class DeadlockPolicy {
       : space_(space), mode_(mode) {}
 
   int key_words() const { return space_.words_per_state(); }
+  std::vector<int> key_word_bits() const { return space_.KeyWordBits(); }
   int aux_words() const { return space_.aux_words(); }
   Scratch NewScratch() const { return {}; }
 

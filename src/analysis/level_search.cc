@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -19,7 +20,9 @@ Status ValidateStoreOptions(const StoreOptions& store, SearchEngine engine) {
 }
 
 LevelSearchBase::LevelSearchBase(const LevelSearchLimits& limits,
-                                 int key_words, int aux_words,
+                                 int key_words,
+                                 std::vector<int> key_word_bits,
+                                 int aux_words,
                                  const KeyCanonicalizer* canonicalizer)
     : limits_(limits),
       pool_(limits.threads),
@@ -29,7 +32,7 @@ LevelSearchBase::LevelSearchBase(const LevelSearchLimits& limits,
       // memory (more mid-size allocations to fragment the heap).
       store_(key_words, aux_words,
              /*num_shards=*/pool_.threads() == 1 ? 2 : 4 * pool_.threads(),
-             limits.store),
+             limits.store, std::move(key_word_bits)),
       window_(kWindowChunks),
       has_deadline_(limits.deadline !=
                     std::chrono::steady_clock::time_point{}) {

@@ -42,6 +42,7 @@
 //       struct Scratch;                 // per-worker scratch
 //       static constexpr bool kCreationFlags;
 //       int key_words() const;  int aux_words() const;
+//       std::vector<int> key_word_bits() const;  // low bits per key word
 //       Scratch NewScratch() const;
 //       void InitRoot(uint64_t* key, uint64_t* aux) const;
 //       void MakeChild(Scratch&, const uint64_t* key, const uint64_t* aux,
@@ -157,7 +158,8 @@ class LevelSearchBase {
   static constexpr size_t kScanPollStride = 2048;
 
   LevelSearchBase(const LevelSearchLimits& limits, int key_words,
-                  int aux_words, const KeyCanonicalizer* canonicalizer);
+                  std::vector<int> key_word_bits, int aux_words,
+                  const KeyCanonicalizer* canonicalizer);
 
   void InternRoot(const uint64_t* key, const uint64_t* aux);
   /// Serial deadline poll, counted in deadline_polls.
@@ -208,7 +210,8 @@ class LevelSearch : public LevelSearchBase {
   /// only; null = no symmetry to exploit) is installed on the store.
   LevelSearch(const LevelSearchLimits& limits, const StateSpace& space,
               Policy* policy, const KeyCanonicalizer* canonicalizer = nullptr)
-      : LevelSearchBase(limits, policy->key_words(), policy->aux_words(),
+      : LevelSearchBase(limits, policy->key_words(),
+                        policy->key_word_bits(), policy->aux_words(),
                         canonicalizer),
         space_(space),
         policy_(policy) {
@@ -290,8 +293,8 @@ Status LevelSearch<kExpansion, Policy>::RunLevels() {
                           ExpandLevel(level_begin, level_end, !last_level));
     if (witness != kNoWitness) return Finish(witness);
     if (last_level) return BudgetError();
-    // Hash compaction keeps only the frontier's key/aux words resident;
-    // every level below it has been fully expanded. No-op otherwise.
+    // Every level below the frontier has been fully expanded: drop its
+    // aux words (an expansion cache), and under hash compaction its keys.
     store_.RetireExpanded();
     level_begin = level_end;
   }

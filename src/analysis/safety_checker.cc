@@ -1,5 +1,6 @@
 #include "analysis/safety_checker.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -114,6 +115,18 @@ struct LemmaKeyLayout {
   }
   uint64_t* Arcs(uint64_t* key) const { return key + exec_words_; }
 
+  /// The exec words' widths, then n rows whose words hold the arcs to
+  /// transactions [64w, min(n, 64w + 64)).
+  std::vector<int> KeyWordBits(const StateSpace& space) const {
+    std::vector<int> bits = space.KeyWordBits();
+    for (int i = 0; i < n_; ++i) {
+      for (int w = 0; w < row_words_; ++w) {
+        bits.push_back(std::clamp(n_ - 64 * w, 0, 64));
+      }
+    }
+    return bits;
+  }
+
   Digraph ArcsDigraph(const uint64_t* key) const {
     Digraph d(n_);
     const uint64_t* arcs = Arcs(key);
@@ -179,6 +192,7 @@ class LemmaPolicy {
         max_states_(max_states) {}
 
   int key_words() const { return lay_.key_words_; }
+  std::vector<int> key_word_bits() const { return lay_.KeyWordBits(space_); }
   int aux_words() const { return lay_.aux_words_; }
   Scratch NewScratch() const {
     Scratch s;

@@ -1,5 +1,6 @@
 #include "core/state_space.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -58,6 +59,18 @@ StateSpace::StateSpace(const TransactionSystem* sys) : sys_(sys) {
       bitmask::Set(&full_words_, offset_[i] * 64 + v);
     }
   }
+}
+
+std::vector<int> StateSpace::KeyWordBits() const {
+  std::vector<int> bits;
+  bits.reserve(total_words_);
+  for (int i = 0; i < sys_->num_transactions(); ++i) {
+    const int steps = sys_->txn(i).num_steps();
+    for (int w = 0; w < words_[i]; ++w) {
+      bits.push_back(std::clamp(steps - 64 * w, 0, 64));
+    }
+  }
+  return bits;
 }
 
 ExecState StateSpace::EmptyState() const {

@@ -127,6 +127,11 @@ class StateSpace {
   int words_per_state() const { return total_words_; }
   int aux_words() const { return total_words_ + holder_words_; }
 
+  /// The low bits each state word can use (words_per_state() entries):
+  /// 64 for a transaction's full words, its remaining steps for its last
+  /// word. ShardedStateStore stores keys packed to these widths.
+  std::vector<int> KeyWordBits() const;
+
   /// Writes the empty state and its aux cache into caller buffers of
   /// words_per_state() / aux_words() words.
   void InitRoot(uint64_t* state, uint64_t* aux) const;

@@ -138,8 +138,28 @@ size_t StateStore::MemoryBytes() const { return MemoryStats().total(); }
 
 ShardedStateStore::ShardedStateStore(int key_words, int aux_words,
                                      int num_shards,
-                                     const StoreOptions& options)
-    : key_words_(key_words), aux_words_(aux_words), options_(options) {
+                                     const StoreOptions& options,
+                                     std::vector<int> key_word_bits)
+    : key_words_(key_words),
+      aux_words_(aux_words),
+      options_(options),
+      stored_words_(key_words) {
+  // kDelta's records are xor-deltas of full keys; packing is for the
+  // modes that store key words as they are.
+  if (!key_word_bits.empty() &&
+      options_.encoding != StoreOptions::KeyEncoding::kDelta) {
+    WYDB_DCHECK(static_cast<int>(key_word_bits.size()) == key_words);
+    int bits = 0;
+    for (int b : key_word_bits) {
+      WYDB_DCHECK(b >= 0 && b <= 64);
+      bits += b;
+    }
+    const int packed = std::max(1, (bits + 63) / 64);
+    if (packed < key_words) {
+      key_word_bits_ = std::move(key_word_bits);
+      stored_words_ = packed;
+    }
+  }
   size_t shards = 1;
   shard_bits_ = 0;
   while (shards < static_cast<size_t>(num_shards > 1 ? num_shards : 1)) {
@@ -155,7 +175,16 @@ ShardedStateStore::ShardedStateStore(int key_words, int aux_words,
 }
 
 uint32_t ShardedStateStore::InternRoot(const uint64_t* key) {
-  const uint64_t hash = HashWords(key, key_words_);
+  // The root's stored tuple: its (packed) key, then aux words that start
+  // zeroed; the caller fills them via MutableAuxOf.
+  std::vector<uint64_t> key_aux(static_cast<size_t>(stored_words_) + aux_words_,
+                                0);
+  if (stored_words_ == key_words_) {
+    std::memcpy(key_aux.data(), key, key_words_ * sizeof(uint64_t));
+  } else {
+    PackKey(key, key_aux.data());
+  }
+  const uint64_t hash = HashWords(key_aux.data(), stored_words_);
   const uint32_t si = ShardOf(hash);
   Shard& shard = shards_[si];
   uint32_t local;
@@ -170,10 +199,6 @@ uint32_t ShardedStateStore::InternRoot(const uint64_t* key) {
     shard.recs.insert(shard.recs.end(), raw,
                       raw + static_cast<size_t>(key_words_) * 8);
   } else {
-    // Root aux starts zeroed; the caller fills it via MutableAuxOf.
-    std::vector<uint64_t> key_aux(
-        static_cast<size_t>(key_words_) + aux_words_, 0);
-    std::memcpy(key_aux.data(), key, key_words_ * sizeof(uint64_t));
     Staging::Pending p{hash, 0, kNoId, -1, -1};
     local = AppendToShard(&shard, key_aux.data(), p);
     shard.hashes.push_back(hash);
@@ -243,11 +268,26 @@ void ShardedStateStore::Stage(Staging* staging, const uint64_t* key,
                               const uint64_t* aux, uint32_t parent,
                               GlobalNode move,
                               const uint64_t* parent_key) const {
-  const uint64_t hash = HashWords(key, key_words_);
-  const uint32_t shard = ShardOf(hash);
-  std::vector<uint64_t>& words = staging->words_[shard];
-  words.insert(words.end(), key, key + key_words_);
-  words.insert(words.end(), aux, aux + aux_words_);
+  uint64_t hash;
+  uint32_t shard;
+  if (stored_words_ == key_words_) {
+    hash = HashWords(key, key_words_);
+    shard = ShardOf(hash);
+    std::vector<uint64_t>& words = staging->words_[shard];
+    words.insert(words.end(), key, key + key_words_);
+    words.insert(words.end(), aux, aux + aux_words_);
+  } else {
+    // The shard is chosen by the packed key's hash, so pack into the
+    // chunk's scratch first.
+    std::vector<uint64_t>& packed = staging->pack_scratch_;
+    packed.resize(stored_words_);
+    PackKey(key, packed.data());
+    hash = HashWords(packed.data(), stored_words_);
+    shard = ShardOf(hash);
+    std::vector<uint64_t>& words = staging->words_[shard];
+    words.insert(words.end(), packed.begin(), packed.end());
+    words.insert(words.end(), aux, aux + aux_words_);
+  }
   staging->pending_[shard].push_back(Staging::Pending{
       hash, staging->count_++, parent, move.txn, move.node});
   if (options_.encoding == StoreOptions::KeyEncoding::kDelta) {
@@ -267,9 +307,9 @@ uint32_t ShardedStateStore::AppendToShard(Shard* shard,
                                           const uint64_t* key_aux,
                                           const Staging::Pending& p) {
   const uint32_t local = static_cast<uint32_t>(shard->parents.size());
-  shard->keys.insert(shard->keys.end(), key_aux, key_aux + key_words_);
-  shard->aux.insert(shard->aux.end(), key_aux + key_words_,
-                    key_aux + key_words_ + aux_words_);
+  shard->keys.insert(shard->keys.end(), key_aux, key_aux + stored_words_);
+  shard->aux.insert(shard->aux.end(), key_aux + stored_words_,
+                    key_aux + stored_words_ + aux_words_);
   shard->parents.push_back(ParentLink{p.parent, p.move_txn, p.move_node});
   return local;
 }
@@ -295,6 +335,42 @@ void ShardedStateStore::GrowShard(Shard* shard) {
   }
   shard->slots = std::move(next);
   shard->slot_mask = mask;
+}
+
+void ShardedStateStore::PackKey(const uint64_t* key, uint64_t* out) const {
+  std::memset(out, 0, static_cast<size_t>(stored_words_) * sizeof(uint64_t));
+  size_t bit = 0;
+  for (int w = 0; w < key_words_; ++w) {
+    const int width = key_word_bits_[w];
+    if (width == 0) continue;
+    const uint64_t v = key[w];
+    WYDB_DCHECK((width == 64 || (v >> width) == 0) &&
+                "key bit outside its word's declared width");
+    const size_t word = bit / 64;
+    const size_t shift = bit % 64;
+    out[word] |= v << shift;
+    if (shift + width > 64) out[word + 1] |= v >> (64 - shift);
+    bit += width;
+  }
+}
+
+void ShardedStateStore::UnpackKey(const uint64_t* packed,
+                                  uint64_t* key) const {
+  size_t bit = 0;
+  for (int w = 0; w < key_words_; ++w) {
+    const int width = key_word_bits_[w];
+    if (width == 0) {
+      key[w] = 0;
+      continue;
+    }
+    const size_t word = bit / 64;
+    const size_t shift = bit % 64;
+    uint64_t v = packed[word] >> shift;
+    if (shift + width > 64) v |= packed[word + 1] << (64 - shift);
+    if (width < 64) v &= (uint64_t{1} << width) - 1;
+    key[w] = v;
+    bit += width;
+  }
 }
 
 void ShardedStateStore::KeyDecodeCache::EnsureShape(int key_words) {
@@ -381,21 +457,21 @@ bool ShardedStateStore::CommittedKeyEquals(uint32_t shard_idx,
 
 size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
                                        size_t num_chunks, ThreadPool* pool) {
-  if (options_.encoding == StoreOptions::KeyEncoding::kDelta) {
-    return CommitStagedDelta(chunks, num_chunks, pool);
-  }
-  const bool compact =
-      options_.encoding == StoreOptions::KeyEncoding::kCompact;
   // The retire boundary is the shard occupancy at the *first* commit
   // since the last RetireExpanded: a level commits one batch per window,
   // all of which belong to the same (unexpanded) frontier.
-  if (compact && !retire_base_valid_) {
+  if (!retire_base_valid_) {
     retire_base_.resize(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
       retire_base_[s] = static_cast<uint32_t>(shards_[s].parents.size());
     }
     retire_base_valid_ = true;
   }
+  if (options_.encoding == StoreOptions::KeyEncoding::kDelta) {
+    return CommitStagedDelta(chunks, num_chunks, pool);
+  }
+  const bool compact =
+      options_.encoding == StoreOptions::KeyEncoding::kCompact;
   // Staging sequence of chunk c's ordinal o is chunk_base[c] + o: exactly
   // the order a serial loop over chunks (= parents in id order) would
   // have called Intern.
@@ -413,7 +489,7 @@ size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
   // entries, so shards are embarrassingly parallel.
   auto commit_shard = [&](size_t shard_begin, size_t shard_end,
                           int /*worker*/) {
-    const size_t kTupleWords = static_cast<size_t>(key_words_) + aux_words_;
+    const size_t kTupleWords = static_cast<size_t>(stored_words_) + aux_words_;
     for (size_t s = shard_begin; s < shard_end; ++s) {
       Shard& shard = shards_[s];
       for (size_t c = 0; c < num_chunks; ++c) {
@@ -436,8 +512,8 @@ size_t ShardedStateStore::CommitStaged(std::vector<Staging>* chunks,
             if (shard.hashes[local] == p.hash &&
                 (compact ||
                  std::memcmp(shard.keys.data() +
-                                 static_cast<size_t>(local) * key_words_,
-                             key_aux, key_words_ * sizeof(uint64_t)) == 0)) {
+                                 static_cast<size_t>(local) * stored_words_,
+                             key_aux, stored_words_ * sizeof(uint64_t)) == 0)) {
               hit = true;
               break;
             }
@@ -586,18 +662,22 @@ size_t ShardedStateStore::CommitStagedDelta(std::vector<Staging>* chunks,
 }
 
 void ShardedStateStore::RetireExpanded() {
-  if (options_.encoding != StoreOptions::KeyEncoding::kCompact ||
-      !retire_base_valid_) {
-    return;
-  }
+  if (!retire_base_valid_) return;
+  const bool compact =
+      options_.encoding == StoreOptions::KeyEncoding::kCompact;
   for (size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = shards_[s];
     const uint32_t keep = retire_base_[s];
-    const size_t drop = keep - shard.frontier_base;
-    if (drop == 0) continue;
+    shard.aux.erase(shard.aux.begin(),
+                    shard.aux.begin() +
+                        static_cast<size_t>(keep - shard.aux_base) *
+                            aux_words_);
+    shard.aux_base = keep;
+    if (!compact) continue;
     shard.keys.erase(shard.keys.begin(),
-                     shard.keys.begin() + drop * key_words_);
-    shard.aux.erase(shard.aux.begin(), shard.aux.begin() + drop * aux_words_);
+                     shard.keys.begin() +
+                         static_cast<size_t>(keep - shard.frontier_base) *
+                             stored_words_);
     shard.frontier_base = keep;
   }
   retire_base_valid_ = false;

@@ -36,7 +36,10 @@
 // kDelta stores a varint (parent, xor-delta) record per state and
 // reconstructs keys on demand through a per-worker decode cache, exactness
 // unchanged; kCompact keeps only a 64-bit fingerprint per state (sound for
-// refutation, not for certification).
+// refutation, not for certification). In kPlain and kCompact a key whose
+// words use only their low bits is stored bit-packed (DESIGN.md §9.6),
+// and in every mode a state's aux words are dropped once its level has
+// been expanded.
 #ifndef WYDB_CORE_STATE_STORE_H_
 #define WYDB_CORE_STATE_STORE_H_
 
@@ -289,11 +292,19 @@ class ShardedStateStore {
   /// `num_shards` is rounded up to a power of two (minimum 1). Shard
   /// choice never affects ids — only contention and per-shard table size.
   /// `options` selects the key encoding (see StoreOptions).
+  /// `key_word_bits`, when not empty, holds key_words entries: word w of
+  /// every key uses only its low key_word_bits[w] bits (0..64). kPlain
+  /// and kCompact then store keys bit-packed, in packed_key_words()
+  /// words; KeyView unpacks them. A key bit outside its word's width
+  /// would be lost (debug-checked at Stage).
   ShardedStateStore(int key_words, int aux_words, int num_shards,
-                    const StoreOptions& options = StoreOptions{});
+                    const StoreOptions& options = StoreOptions{},
+                    std::vector<int> key_word_bits = {});
 
   int key_words() const { return key_words_; }
   int aux_words() const { return aux_words_; }
+  /// Words a stored key takes: key_words() unless keys are packed.
+  int packed_key_words() const { return stored_words_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   size_t size() const { return index_.size(); }
   const StoreOptions& options() const { return options_; }
@@ -302,8 +313,11 @@ class ShardedStateStore {
   uint32_t InternRoot(const uint64_t* key);
 
   /// Full key words of `id`. Valid in kPlain always and in kCompact for
-  /// non-retired ids; in kDelta use KeyView (debug-checked).
+  /// non-retired ids; in kDelta, or with packed keys, use KeyView
+  /// (debug-checked).
   ConstArenaPtr KeyOf(uint32_t id) const {
+    WYDB_DCHECK(stored_words_ == key_words_ &&
+                "KeyOf is unavailable with packed keys; use KeyView");
     return {KeyRaw(id),
 #ifndef NDEBUG
             &generation_
@@ -313,9 +327,9 @@ class ShardedStateStore {
   ConstArenaPtr AuxOf(uint32_t id) const {
     const Slot s = Unpack(index_[id]);
     const Shard& shard = shards_[s.shard];
-    WYDB_DCHECK(s.local >= shard.frontier_base && "retired state");
+    WYDB_DCHECK(s.local >= shard.aux_base && "retired state");
     return {shard.aux.data() +
-                static_cast<size_t>(s.local - shard.frontier_base) *
+                static_cast<size_t>(s.local - shard.aux_base) *
                     aux_words_,
 #ifndef NDEBUG
             &generation_
@@ -325,9 +339,9 @@ class ShardedStateStore {
   MutableArenaPtr MutableAuxOf(uint32_t id) {
     const Slot s = Unpack(index_[id]);
     Shard& shard = shards_[s.shard];
-    WYDB_DCHECK(s.local >= shard.frontier_base && "retired state");
+    WYDB_DCHECK(s.local >= shard.aux_base && "retired state");
     return {shard.aux.data() +
-                static_cast<size_t>(s.local - shard.frontier_base) *
+                static_cast<size_t>(s.local - shard.aux_base) *
                     aux_words_,
 #ifndef NDEBUG
             &generation_
@@ -363,21 +377,25 @@ class ShardedStateStore {
     std::vector<uint32_t> ids_;     ///< kSlots entries; kNoId = empty.
     std::vector<uint64_t> words_;   ///< kSlots * key_words_ words.
     std::vector<uint64_t> scratch_; ///< One key: chain unwind buffer.
+    std::vector<uint64_t> unpacked_; ///< Packed keys: the last unpacked.
     std::vector<uint64_t> compare_; ///< One key: probe-compare buffer.
     std::vector<uint32_t> chain_;   ///< Walk scratch (ids to replay).
   };
 
   /// Full key words of `id`, valid in every encoding. kPlain/kCompact
-  /// return the arena pointer directly; kDelta reconstructs through
-  /// `cache` (required non-null in that mode). The returned pointer is
-  /// invalidated by the next KeyView call on the same cache, and by any
-  /// store insertion.
+  /// return the arena pointer directly, or unpack a packed key into
+  /// `cache`; kDelta reconstructs through `cache`. `cache` is required
+  /// non-null in those cases. The returned pointer is invalidated by the
+  /// next KeyView call on the same cache, and by any store insertion.
   const uint64_t* KeyView(uint32_t id, KeyDecodeCache* cache) const {
-    if (options_.encoding != StoreOptions::KeyEncoding::kDelta) {
-      return KeyRaw(id);
+    if (options_.encoding == StoreOptions::KeyEncoding::kDelta) {
+      cache->EnsureShape(key_words_);
+      return ReconstructKey(id, cache);
     }
-    cache->EnsureShape(key_words_);
-    return ReconstructKey(id, cache);
+    if (stored_words_ == key_words_) return KeyRaw(id);
+    cache->unpacked_.resize(key_words_);
+    UnpackKey(KeyRaw(id), cache->unpacked_.data());
+    return cache->unpacked_.data();
   }
 
   /// The move sequence from the root to `id`, in execution order.
@@ -409,6 +427,7 @@ class ShardedStateStore {
     std::vector<std::vector<uint8_t>> recs_;
     std::vector<std::vector<uint32_t>> rec_lens_;
     std::vector<uint8_t> rec_scratch_;  ///< Stage-local encode buffer.
+    std::vector<uint64_t> pack_scratch_;  ///< Packed keys: Stage's key.
     uint32_t count_ = 0;
   };
 
@@ -451,13 +470,14 @@ class ShardedStateStore {
   size_t CommitStaged(std::vector<Staging>* chunks, size_t num_chunks,
                       ThreadPool* pool);
 
-  /// kCompact only: drops the key/aux arena entries of every state below
-  /// the first commit since the previous retire — i.e. retires the
-  /// levels that have been fully expanded, keeping only the current
-  /// frontier resident. Parents, fingerprints, and the probe tables stay
-  /// (probing needs only fingerprints), so dedup and witness replay are
-  /// unaffected. KeyOf/AuxOf of retired ids become invalid
-  /// (debug-checked). No-op in other encodings.
+  /// Drops the aux words of every state below the first commit since
+  /// the previous retire — i.e. of the levels that have been fully
+  /// expanded, whose aux (an expansion cache) is never read again — and
+  /// in kCompact their key words too, keeping only the current
+  /// frontier's resident. Parents, keys (kPlain, kDelta), fingerprints
+  /// and the probe tables stay (kCompact probes only fingerprints), so
+  /// dedup and witness replay are unaffected. AuxOf of retired ids, and
+  /// in kCompact KeyOf, become invalid (debug-checked).
   void RetireExpanded();
 
   /// Live bytes currently staged in `staging` (the peak_staging_bytes
@@ -476,9 +496,9 @@ class ShardedStateStore {
   };
   struct Shard {
     /// kPlain: all keys. kCompact: keys of locals >= frontier_base only.
-    /// kDelta: unused (identity lives in recs).
+    /// kDelta: unused (identity lives in recs). stored_words_ per key.
     std::vector<uint64_t> keys;
-    /// kPlain/kDelta: all aux. kCompact: locals >= frontier_base only.
+    /// Aux of locals >= aux_base only.
     std::vector<uint64_t> aux;
     std::vector<ParentLink> parents;  ///< One per local id, never retired.
     std::vector<uint32_t> slots;      ///< Open addressing -> local id.
@@ -489,8 +509,10 @@ class ShardedStateStore {
     /// kDelta: byte offset of each local id's record in recs.
     std::vector<uint64_t> rec_off;
     std::vector<uint8_t> recs;  ///< kDelta: varint key records.
-    /// kCompact: first local id whose key/aux words are still resident.
+    /// kCompact: first local id whose key words are still resident.
     uint32_t frontier_base = 0;
+    /// First local id whose aux words are still resident.
+    uint32_t aux_base = 0;
   };
   /// Commit scratch: one provisional fresh insertion of the delta
   /// two-pass commit (probe pass records it, append pass materializes).
@@ -525,7 +547,8 @@ class ShardedStateStore {
     const Shard& shard = shards_[s.shard];
     WYDB_DCHECK(s.local >= shard.frontier_base && "retired state");
     return shard.keys.data() +
-           static_cast<size_t>(s.local - shard.frontier_base) * key_words_;
+           static_cast<size_t>(s.local - shard.frontier_base) *
+               stored_words_;
   }
 
   /// Appends a tuple to `shard` (no table insertion); returns local id.
@@ -535,6 +558,10 @@ class ShardedStateStore {
   uint32_t AppendDeltaToShard(Shard* shard, const PendingAppend& a);
   /// Doubles the probe table, rehashing from the stored hashes.
   void GrowShard(Shard* shard);
+  /// Packed keys: writes `key` bit-packed into `out` (stored_words_
+  /// words), and the reverse.
+  void PackKey(const uint64_t* key, uint64_t* out) const;
+  void UnpackKey(const uint64_t* packed, uint64_t* key) const;
 
   /// kDelta: encodes the record for `key` into staging->rec_scratch_
   /// (full record when `parent_key` is null or the delta would be
@@ -555,6 +582,10 @@ class ShardedStateStore {
   const int key_words_;
   const int aux_words_;
   const StoreOptions options_;
+  /// Low bits used by each key word; empty unless keys are packed.
+  std::vector<int> key_word_bits_;
+  /// Words per stored key: key_words_, or the packed width.
+  int stored_words_;
   const KeyCanonicalizer* canonicalizer_ = nullptr;
   int shard_bits_ = 0;
   std::vector<Shard> shards_;
@@ -567,7 +598,7 @@ class ShardedStateStore {
   /// fills, append pass drains) and per-worker decode caches.
   std::vector<std::vector<PendingAppend>> append_scratch_;
   std::vector<KeyDecodeCache> commit_caches_;
-  /// kCompact: per-shard local count at the first commit since the last
+  /// Per-shard local count at the first commit since the last
   /// RetireExpanded — the boundary below which states are expanded.
   std::vector<uint32_t> retire_base_;
   bool retire_base_valid_ = false;

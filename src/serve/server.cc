@@ -45,6 +45,16 @@ uint64_t NowMicros() {
       .count();
 }
 
+/// Sends one reply: its lines (each ending in '\n'), then the '.'
+/// terminator, in one write and one flush. A reply split over several
+/// writes makes a socket's second segment wait for the client's delayed
+/// ACK under Nagle's algorithm, about 40 ms (docs/SERVE.md).
+void SendReply(std::ostream& out, std::string reply) {
+  reply += ".\n";
+  out.write(reply.data(), static_cast<std::streamsize>(reply.size()));
+  out.flush();
+}
+
 /// The payload line a "line %d: ..." error message points at, if any —
 /// malformed requests echo the offending line back (docs/SERVE.md).
 std::string OffendingLine(const std::string& message,
@@ -497,12 +507,12 @@ void Server::ServeStream(std::istream& in, std::ostream& out) {
 
     if (verb == "quit") {
       ++stats.requests;
-      out << "bye\n.\n" << std::flush;
+      SendReply(out, "bye\n");
       return;
     }
     if (verb == "stats") {
       ++stats.requests;
-      out << StatsLine() << "\n.\n" << std::flush;
+      SendReply(out, StatsLine() + "\n");
       continue;
     }
     if (verb == "certify" || verb == "simulate") {
@@ -520,7 +530,7 @@ void Server::ServeStream(std::istream& in, std::ostream& out) {
       ++stats.requests;
       if (!terminated) {
         ++stats.errors;
-        out << "error: unexpected EOF before 'end'\n.\n" << std::flush;
+        SendReply(out, "error: unexpected EOF before 'end'\n");
         return;
       }
       const uint64_t start_us = NowMicros();
@@ -533,13 +543,17 @@ void Server::ServeStream(std::istream& in, std::ostream& out) {
         HandleSimulate(params, payload, &response);
       }
       RecordLatency(NowMicros() - start_us);
-      for (const std::string& r : response) out << r << "\n";
-      out << ".\n" << std::flush;
+      std::string reply;
+      for (const std::string& r : response) {
+        reply += r;
+        reply += '\n';
+      }
+      SendReply(out, std::move(reply));
       continue;
     }
     ++stats.requests;
     ++stats.errors;
-    out << "error: unknown verb '" << verb << "'\n.\n" << std::flush;
+    SendReply(out, "error: unknown verb '" + verb + "'\n");
   }
 }
 

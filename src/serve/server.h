@@ -97,9 +97,10 @@ class Server {
   static Result<Server> Create(const ServerOptions& options);
 
   /// Serves requests from `in` until EOF or `quit`. Every response —
-  /// including errors — is terminated by a lone '.' line, and no request
-  /// terminates the loop except `quit`/EOF. Safe to call concurrently
-  /// from multiple session threads (one stream pair per session).
+  /// including errors — is terminated by a lone '.' line and reaches
+  /// `out` whole, in one write and one flush; no request terminates the
+  /// loop except `quit`/EOF. Safe to call concurrently from multiple
+  /// session threads (one stream pair per session).
   void ServeStream(std::istream& in, std::ostream& out);
 
   /// Certifies `text` (a .wydb workload) and caches the result, as a

@@ -17,6 +17,10 @@
 //
 //   WYDB_SEARCH_GOLDEN_WRITE=tests/testdata/search_golden.txt \
 //       ./search_golden_test
+//
+// Recording rewrites the file: the committed file's leading `#` header,
+// then every record in corpus order. Notes about the records belong in
+// that header.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -34,6 +38,7 @@
 #include "core/schedule.h"
 #include "gen/system_gen.h"
 #include "io/text_format.h"
+#include "tests/golden_file.h"
 
 #ifndef WYDB_SOURCE_DIR
 #define WYDB_SOURCE_DIR "."
@@ -302,7 +307,8 @@ TEST(SearchGoldenTest, EveryEngineReproducesTheRecordedSearch) {
   const std::vector<CorpusSystem> corpus = Corpus();
   if (write_path != nullptr) {
     // Recording: the delta gate is taken from the serial engine alone.
-    std::ofstream out(write_path, std::ios::app);
+    std::ofstream out =
+        testutil::StartGoldenRecording(write_path, GoldenPath());
     ASSERT_TRUE(out.good()) << write_path;
     const std::vector<Engine> delta_engines = {Engines()[0]};
     for (const CorpusSystem& cs : corpus) {
@@ -314,16 +320,9 @@ TEST(SearchGoldenTest, EveryEngineReproducesTheRecordedSearch) {
     return;
   }
 
-  std::ifstream in(GoldenPath());
-  ASSERT_TRUE(in.good()) << "cannot open " << GoldenPath();
-  std::map<std::string, std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t colon = line.find(": ");
-    ASSERT_NE(colon, std::string::npos) << line;
-    golden[line.substr(0, colon)] = line.substr(colon + 2);
-  }
+  const std::map<std::string, std::string> golden =
+      testutil::ReadGolden(GoldenPath());
+  ASSERT_FALSE(golden.empty()) << GoldenPath();
 
   const std::vector<Engine> delta_engines = {Engines()[0], Engines()[1],
                                              Engines()[2]};

@@ -5,7 +5,10 @@
 // certificate round trip the cache is built on.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <regex>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,6 +204,94 @@ TEST(ServeTest, UnterminatedPayloadEndsTheStreamWithAnError) {
   EXPECT_TRUE(AnyLineContains(again, "certified=yes"));
 }
 
+/// Unbuffered streambuf that keeps each write made into it, one string
+/// per xsputn call (or per overflow character), so a test sees how the
+/// server cut its output into writes.
+class WriteRecorder : public std::streambuf {
+ public:
+  const std::vector<std::string>& writes() const { return writes_; }
+
+ protected:
+  int overflow(int c) override {
+    if (c == traits_type::eof()) return traits_type::not_eof(c);
+    writes_.emplace_back(1, static_cast<char>(c));
+    return c;
+  }
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    writes_.emplace_back(s, static_cast<size_t>(n));
+    return n;
+  }
+
+ private:
+  std::vector<std::string> writes_;
+};
+
+/// `text` with every microsecond timing (`elapsed_us=`, and the stats
+/// line's `p50_us=` and `p95_us=`) masked, so two runs compare equal.
+std::string MaskTimings(const std::string& text) {
+  static const std::regex kTiming("_us=[0-9]+");
+  return std::regex_replace(text, kTiming, "_us=#");
+}
+
+/// Serves `script` on a fresh server and returns its writes, after
+/// checking that each is one whole '.'-terminated reply and that
+/// together they are the bytes a fresh server writes into an
+/// ostringstream for the same script.
+std::vector<std::string> OneWritePerReply(const std::string& script) {
+  Server server = MakeServer();
+  WriteRecorder recorder;
+  std::istringstream in(script);
+  std::ostream out(&recorder);
+  server.ServeStream(in, out);
+  std::string joined;
+  for (const std::string& w : recorder.writes()) {
+    EXPECT_EQ(CountOccurrences("\n" + w, "\n.\n"), 1)
+        << "a write that is not one whole reply: '" << w << "'";
+    EXPECT_TRUE(w.size() >= 2 && w.compare(w.size() - 2, 2, ".\n") == 0)
+        << "a write that does not end its reply: '" << w << "'";
+    joined += w;
+  }
+  Server reference = MakeServer();
+  std::istringstream ref_in(script);
+  std::ostringstream ref_out;
+  reference.ServeStream(ref_in, ref_out);
+  EXPECT_EQ(MaskTimings(joined), MaskTimings(ref_out.str()));
+  return recorder.writes();
+}
+
+// A reply split over several writes waits out the client's delayed ACK
+// on a socket (docs/SERVE.md), so every kind of reply must be one write.
+TEST(ServeTest, EachReplyIsOneWrite) {
+  const std::string malformed =
+      "certify\nsite s1: x\ntxn T: Lx Ux\ntxn T: Lx Ux\nend\n";
+  const std::vector<std::string> writes = OneWritePerReply(
+      CertifyRequest(kDeadlockPair) + CertifyRequest(kDeadlockPairPermuted) +
+      malformed + "frobnicate\nstats\nquit\n");
+  ASSERT_EQ(writes.size(), 6u);
+  EXPECT_NE(writes[0].find("verdict: certified=no source=full"),
+            std::string::npos)
+      << writes[0];
+  EXPECT_NE(writes[0].find("\nwitness: "), std::string::npos) << writes[0];
+  EXPECT_NE(writes[0].find("\ncycle: "), std::string::npos) << writes[0];
+  EXPECT_NE(writes[1].find("verdict: certified=no source=cache"),
+            std::string::npos)
+      << writes[1];
+  EXPECT_NE(writes[1].find("\nwitness: "), std::string::npos) << writes[1];
+  EXPECT_EQ(writes[2].rfind("error: ", 0), 0u) << writes[2];
+  EXPECT_NE(writes[2].find("\necho: txn T: Lx Ux\n"), std::string::npos)
+      << writes[2];
+  EXPECT_EQ(writes[3], "error: unknown verb 'frobnicate'\n.\n");
+  EXPECT_EQ(writes[4].rfind("stats: requests=5 ", 0), 0u) << writes[4];
+  EXPECT_EQ(writes[5], "bye\n.\n");
+
+  const std::vector<std::string> cut = OneWritePerReply(
+      CertifyRequest(kCertifiedPair) + "certify\nsite s1: x\n");
+  ASSERT_EQ(cut.size(), 2u);
+  EXPECT_NE(cut[0].find("verdict: certified=yes"), std::string::npos)
+      << cut[0];
+  EXPECT_EQ(cut[1], "error: unexpected EOF before 'end'\n.\n");
+}
+
 TEST(ServeTest, StateBudgetSurfacesAsAnErrorNotACrash) {
   Server server = MakeServer();
   auto out = Drive(server, CertifyRequest(kDeadlockPair, "max_states=1"));
@@ -302,6 +393,44 @@ TEST(ServeTest, ConcurrentSessionsShareTheCacheSafely) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, 3u * kSessions);
   EXPECT_GE(stats.cache_misses, 2u);
   EXPECT_EQ(stats.full_certifications, stats.cache_misses);
+}
+
+/// The server-side time a verdict line reports, in microseconds.
+uint64_t ElapsedUs(const std::string& verdict_line) {
+  std::smatch m;
+  static const std::regex kElapsed("elapsed_us=([0-9]+)");
+  return std::regex_search(verdict_line, m, kElapsed) ? std::stoull(m[1])
+                                                      : 0;
+}
+
+/// Sessions search side by side: a short certify in one session is
+/// answered while a long search runs in another, in about the time it
+/// takes alone, not after the long search.
+TEST(ServeTest, LongSearchDoesNotHoldUpOtherSessions) {
+  Server server = MakeServer();
+  auto grid = GenerateDisjointGridSystem(7, 2);  // 5^7 = 78,125 states.
+  ASSERT_TRUE(grid.ok());
+  const std::string long_request =
+      CertifyRequest(SerializeSystem(*grid->system));
+  std::vector<std::string> long_out;
+  std::thread long_session([&] { long_out = Drive(server, long_request); });
+  // The long request has missed the cache: its search is starting.
+  while (server.stats().cache_misses.load() == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  auto short_out =
+      Drive(server, CertifyRequest(kCertifiedPair, "timeout_ms=5000"));
+  long_session.join();
+  const std::string short_verdict = FirstLineWith(short_out, "verdict: ");
+  const std::string long_verdict = FirstLineWith(long_out, "verdict: ");
+  EXPECT_NE(short_verdict.find("certified=yes source=full"),
+            std::string::npos)
+      << short_out[0];
+  EXPECT_NE(long_verdict.find("certified=yes source=full states=78125"),
+            std::string::npos)
+      << long_out[0];
+  // Waiting behind the long search would cost most of its time.
+  EXPECT_LT(4 * ElapsedUs(short_verdict), ElapsedUs(long_verdict))
+      << short_verdict << "\n" << long_verdict;
 }
 
 TEST(ServeTest, PreloadPrimesTheCache) {

@@ -26,6 +26,9 @@
 // Regenerate (only when a behaviour change is intended and understood):
 //
 //   WYDB_SIM_GOLDEN_WRITE=tests/testdata/sim_golden.txt ./sim_golden_test
+//
+// Recording rewrites the file: the committed file's leading `#` header,
+// then every record in corpus order.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -40,6 +43,7 @@
 #include "gen/system_gen.h"
 #include "runtime/simulation.h"
 #include "runtime/workload.h"
+#include "tests/golden_file.h"
 #include "tests/test_util.h"
 
 #ifndef WYDB_SOURCE_DIR
@@ -152,7 +156,8 @@ std::string GoldenPath() {
 TEST(SimGoldenTest, SimulatorReproducesTheRecordedRuns) {
   const std::vector<CorpusSystem> corpus = Corpus();
   if (const char* write_path = std::getenv("WYDB_SIM_GOLDEN_WRITE")) {
-    std::ofstream out(write_path, std::ios::app);
+    std::ofstream out =
+        testutil::StartGoldenRecording(write_path, GoldenPath());
     ASSERT_TRUE(out.good()) << write_path;
     for (const CorpusSystem& cs : corpus) {
       RunSystem(cs, [&](ConflictPolicy, const std::string& key,
@@ -163,16 +168,9 @@ TEST(SimGoldenTest, SimulatorReproducesTheRecordedRuns) {
     return;
   }
 
-  std::ifstream in(GoldenPath());
-  ASSERT_TRUE(in.good()) << "cannot open " << GoldenPath();
-  std::map<std::string, std::string> golden;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t colon = line.find(": ");
-    ASSERT_NE(colon, std::string::npos) << line;
-    golden[line.substr(0, colon)] = line.substr(colon + 2);
-  }
+  const std::map<std::string, std::string> golden =
+      testutil::ReadGolden(GoldenPath());
+  ASSERT_FALSE(golden.empty()) << GoldenPath();
 
   std::map<std::string, bool> seen;
   int mismatches = 0;

@@ -27,7 +27,12 @@ Legs:
    session keeps its slot;
 10. an idle-drain leg, 20 times: with idle connections open, SIGTERM
    must end the server with exit 0 within 2 s and no further connect —
-   the signal must reach the thread blocked in accept, not a session.
+   the signal must reach the thread blocked in accept, not a session;
+11. a served-latency leg: 200 sequential certifies of
+   tools/certified_workload.wydb over one TCP connection, the client
+   with default socket options (no TCP_NODELAY), must take under 5 ms
+   at p50. A reply written in several pieces waits out the client's
+   delayed ACK, about 40 ms a request.
 
 Usage: tools/serve_smoke.py path/to/wydb_serve path/to/wydb_analyze
 Exits nonzero with a named complaint on any mismatch.
@@ -519,6 +524,51 @@ def run_idle_drain_session(serve: Path, rounds: int = 20) -> None:
                 proc.wait()
 
 
+def run_latency_session(serve: Path, requests: int = 200) -> None:
+    """Leg 11: sequential certifies answer in the server's time."""
+    workload = Path(__file__).with_name("certified_workload.wydb")
+    request = f"certify\n{workload.read_text()}end\n".encode()
+    started = start_server(serve, [])
+    if started is None:
+        complain("latency leg: could not start the server")
+        return
+    proc, port = started
+    latencies = []
+    try:
+        # Default client socket options, as a plain client connects.
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as s:
+            pending = b""
+            for _ in range(requests):
+                start = time.perf_counter()
+                s.sendall(request)
+                while b"\n.\n" not in pending:
+                    chunk = s.recv(4096)
+                    if not chunk:
+                        break
+                    pending += chunk
+                latencies.append(time.perf_counter() - start)
+                reply, _, pending = pending.partition(b"\n.\n")
+                if b"certified=yes" not in reply:
+                    complain(f"latency leg: want a certified verdict, got "
+                             f"{reply!r}")
+                    return
+            s.sendall(b"quit\n")
+    except OSError as e:
+        complain(f"latency leg: {e}")
+        return
+    finally:
+        proc.terminate()
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+    p50_ms = sorted(latencies)[len(latencies) // 2] * 1000
+    print(f"serve_smoke: latency leg p50 {p50_ms:.2f} ms over {requests} "
+          "sequential certifies")
+    expect(p50_ms < 5.0,
+           f"latency leg: p50 {p50_ms:.1f} ms, want under 5 ms")
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print(__doc__, file=sys.stderr)
@@ -530,10 +580,11 @@ def main() -> int:
     run_malformed_flood_session(serve)
     run_backpressure_session(serve)
     run_idle_drain_session(serve)
+    run_latency_session(serve)
     if not ERRORS:
         print("serve_smoke: OK (pipe + tcp + concurrent-fault + flood + "
-              "backpressure + idle-drain sessions, verdicts cross-checked "
-              "against wydb_analyze --exact)")
+              "backpressure + idle-drain + served-latency sessions, "
+              "verdicts cross-checked against wydb_analyze --exact)")
     return 1 if ERRORS else 0
 
 

@@ -16,6 +16,7 @@
 #include <streambuf>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -163,7 +164,9 @@ void ShutdownActiveConns() {
 }
 
 /// Unbuffered-write std::streambuf over a POSIX fd, enough to hand a
-/// socket to Server::ServeStream as iostreams. Retries EINTR (signal
+/// socket to Server::ServeStream as iostreams. It needs no write buffer:
+/// ServeStream hands it each reply whole, terminator included, in one
+/// write, so every reply leaves in one write(2). Retries EINTR (signal
 /// delivery must not drop request bytes); EPIPE/ECONNRESET surface as
 /// eof, which ends this session's ServeStream loop and nothing else.
 class FdStreamBuf : public std::streambuf {
@@ -257,6 +260,10 @@ int ServeSocket(Server& server, int port, int sessions) {
       ::close(conn);
       break;
     }
+    // A reply is one write and the client's next request waits for it,
+    // so there is nothing for Nagle's algorithm to coalesce: sending at
+    // once keeps a reply from waiting out the client's delayed ACK.
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     bool queued = pool.TrySubmit([&server, conn] {
       RegisterConn(conn);
       FdStreamBuf buf(conn);
