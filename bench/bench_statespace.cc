@@ -300,8 +300,8 @@ BENCHMARK(BM_FarmDeadlock_Reduced)
 // Memory-mode series (DESIGN.md §9): the k=16 farm (2,686,976 reachable
 // states — beyond the 2M budget that kills the exhaustive engines above)
 // checked exhaustively once per key encoding. The headline counter is
-// bytes_per_state: delta must be strictly below plain, and compact
-// (frontier-resident keys only; non-certified verdict) far below both.
+// bytes_per_state: compact (frontier-resident keys only; non-certified
+// verdict) must be below plain (packed keys, DESIGN.md §9.6).
 // peak_staging_bytes is the bytes staged in the largest committed window
 // (DESIGN.md §9.3), the bound on staging memory.
 
@@ -351,11 +351,6 @@ void BM_FarmDeadlockMem_Plain(benchmark::State& state) {
   RunFarmMemoryBench(state, StoreOptions::KeyEncoding::kPlain);
 }
 BENCHMARK(BM_FarmDeadlockMem_Plain)->Args({16, 2})->UseRealTime();
-
-void BM_FarmDeadlockMem_Delta(benchmark::State& state) {
-  RunFarmMemoryBench(state, StoreOptions::KeyEncoding::kDelta);
-}
-BENCHMARK(BM_FarmDeadlockMem_Delta)->Args({16, 2})->UseRealTime();
 
 void BM_FarmDeadlockMem_Compact(benchmark::State& state) {
   RunFarmMemoryBench(state, StoreOptions::KeyEncoding::kCompact);

@@ -44,10 +44,10 @@ struct DeadlockCheckOptions {
   /// one). 0 = the WYDB_SEARCH_THREADS environment variable when set,
   /// else the hardware concurrency. Results are identical for every value.
   int search_threads = 0;
-  /// Store memory mode (DESIGN.md §9): the key encoding.
-  /// Every engine takes every mode except kCompact under kReduced
-  /// (reduced witness replay reads ancestor keys, which compaction
-  /// discards).
+  /// Store key encoding (DESIGN.md §9): kPlain (exact) or kCompact
+  /// (fingerprints, not exact). Every engine takes both except kCompact
+  /// under kReduced (reduced witness replay reads ancestor keys, which
+  /// compaction discards).
   StoreOptions store;
   /// Wall-clock abort point; default-constructed (epoch) = no deadline.
   /// Overruns return ResourceExhausted, like max_states. Checked once per

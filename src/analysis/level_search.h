@@ -394,13 +394,10 @@ void LevelSearch<kExpansion, Policy>::ExpandChunk(
     if (!stage) continue;
     for (GlobalNode g : w.moves) {
       policy_->MakeChild(w.scratch, key, aux, g, w.key.data(), w.aux.data());
-      // `key` is the parent's stored (canonical) key, so a delta record
-      // relates two stored representatives.
       if constexpr (kExpansion == Expansion::kReduced) {
-        store_.StageCanonical(&staging, w.key.data(), w.aux.data(), id, g,
-                              key);
+        store_.StageCanonical(&staging, w.key.data(), w.aux.data(), id, g);
       } else {
-        store_.Stage(&staging, w.key.data(), w.aux.data(), id, g, key);
+        store_.Stage(&staging, w.key.data(), w.aux.data(), id, g);
       }
     }
   }

@@ -32,14 +32,11 @@
 // thread count, or chunk size.
 //
 // Beyond-RAM modes (DESIGN.md §9): StoreOptions selects how the sharded
-// store represents state identity. kPlain keeps full keys (the default);
-// kDelta stores a varint (parent, xor-delta) record per state and
-// reconstructs keys on demand through a per-worker decode cache, exactness
-// unchanged; kCompact keeps only a 64-bit fingerprint per state (sound for
-// refutation, not for certification). In kPlain and kCompact a key whose
-// words use only their low bits is stored bit-packed (DESIGN.md §9.6),
-// and in every mode a state's aux words are dropped once its level has
-// been expanded.
+// store represents state identity. kPlain keeps every key (the default);
+// kCompact keeps only a 64-bit fingerprint per state (sound for
+// refutation, not for certification). In both a key whose words use only
+// their low bits is stored bit-packed (DESIGN.md §9.6), and a state's aux
+// words are dropped once its level has been expanded.
 #ifndef WYDB_CORE_STATE_STORE_H_
 #define WYDB_CORE_STATE_STORE_H_
 
@@ -62,10 +59,6 @@ struct StoreOptions {
   enum class KeyEncoding {
     /// Full key words in the arena (the default; exact).
     kPlain,
-    /// Per-state varint record: (parent id, changed words, xor deltas),
-    /// reconstructed on probe through a decode cache. Exact — probes
-    /// compare full reconstructed keys word-wise.
-    kDelta,
     /// 64-bit fingerprint only; hash-equal states merge. Sound for
     /// refutation (witnesses replay), NOT for certification.
     kCompact,
@@ -312,18 +305,6 @@ class ShardedStateStore {
   /// Serial insertion (the search root, before any batches).
   uint32_t InternRoot(const uint64_t* key);
 
-  /// Full key words of `id`. Valid in kPlain always and in kCompact for
-  /// non-retired ids; in kDelta, or with packed keys, use KeyView
-  /// (debug-checked).
-  ConstArenaPtr KeyOf(uint32_t id) const {
-    WYDB_DCHECK(stored_words_ == key_words_ &&
-                "KeyOf is unavailable with packed keys; use KeyView");
-    return {KeyRaw(id),
-#ifndef NDEBUG
-            &generation_
-#endif
-    };
-  }
   ConstArenaPtr AuxOf(uint32_t id) const {
     const Slot s = Unpack(index_[id]);
     const Shard& shard = shards_[s.shard];
@@ -358,40 +339,25 @@ class ShardedStateStore {
     return GlobalNode{p.move_txn, p.move_node};
   }
 
-  /// \brief Per-worker scratch for KeyView in kDelta mode: a small
-  /// direct-mapped cache of reconstructed keys, so walking a frontier in
-  /// id order re-decodes each parent chain O(1) amortized times.
+  /// \brief Per-worker scratch for KeyView: the buffer a packed key is
+  /// unpacked into, so callers need not know the stored layout.
   ///
   /// Not thread-safe; give each worker its own. Cheap to default-
-  /// construct (storage is allocated on first use, sized to the store's
-  /// key width).
+  /// construct (storage is allocated on first use).
   class KeyDecodeCache {
    public:
     KeyDecodeCache() = default;
 
    private:
     friend class ShardedStateStore;
-    static constexpr size_t kSlots = 128;  // Power of two.
-    void EnsureShape(int key_words);
-    int key_words_ = 0;
-    std::vector<uint32_t> ids_;     ///< kSlots entries; kNoId = empty.
-    std::vector<uint64_t> words_;   ///< kSlots * key_words_ words.
-    std::vector<uint64_t> scratch_; ///< One key: chain unwind buffer.
-    std::vector<uint64_t> unpacked_; ///< Packed keys: the last unpacked.
-    std::vector<uint64_t> compare_; ///< One key: probe-compare buffer.
-    std::vector<uint32_t> chain_;   ///< Walk scratch (ids to replay).
+    std::vector<uint64_t> unpacked_;  ///< Packed keys: the last unpacked.
   };
 
-  /// Full key words of `id`, valid in every encoding. kPlain/kCompact
-  /// return the arena pointer directly, or unpack a packed key into
-  /// `cache`; kDelta reconstructs through `cache`. `cache` is required
-  /// non-null in those cases. The returned pointer is invalidated by the
-  /// next KeyView call on the same cache, and by any store insertion.
+  /// Full key words of `id` (kCompact: non-retired ids only): the arena
+  /// pointer directly, or a packed key unpacked into `cache`, which must
+  /// then be non-null. The returned pointer is invalidated by the next
+  /// KeyView call on the same cache, and by any store insertion.
   const uint64_t* KeyView(uint32_t id, KeyDecodeCache* cache) const {
-    if (options_.encoding == StoreOptions::KeyEncoding::kDelta) {
-      cache->EnsureShape(key_words_);
-      return ReconstructKey(id, cache);
-    }
     if (stored_words_ == key_words_) return KeyRaw(id);
     cache->unpacked_.resize(key_words_);
     UnpackKey(KeyRaw(id), cache->unpacked_.data());
@@ -422,11 +388,6 @@ class ShardedStateStore {
     };
     std::vector<std::vector<uint64_t>> words_;  ///< [shard] key|aux runs.
     std::vector<std::vector<Pending>> pending_;  ///< [shard] metadata.
-    /// kDelta only: varint-packed key records, one per pending tuple, in
-    /// pending order per shard; rec_lens_ holds the record byte lengths.
-    std::vector<std::vector<uint8_t>> recs_;
-    std::vector<std::vector<uint32_t>> rec_lens_;
-    std::vector<uint8_t> rec_scratch_;  ///< Stage-local encode buffer.
     std::vector<uint64_t> pack_scratch_;  ///< Packed keys: Stage's key.
     uint32_t count_ = 0;
   };
@@ -437,15 +398,8 @@ class ShardedStateStore {
   /// Stages one candidate child (key_words + aux_words words) with its
   /// parent link. Writes only into `staging`; safe to call concurrently
   /// on distinct Staging objects.
-  ///
-  /// `parent_key` is the parent's stored (canonical) key and is required
-  /// in kDelta mode, where the delta record is computed here at stage
-  /// time — commit-time reconstruction would race with other shards'
-  /// arena appends. Ignored in other modes; null falls back to a full
-  /// (undeltaed) record.
   void Stage(Staging* staging, const uint64_t* key, const uint64_t* aux,
-             uint32_t parent, GlobalNode move,
-             const uint64_t* parent_key = nullptr) const;
+             uint32_t parent, GlobalNode move) const;
 
   /// Installs (or clears) the canonical-key hook used by StageCanonical.
   void set_canonicalizer(const KeyCanonicalizer* canonicalizer) {
@@ -455,12 +409,9 @@ class ShardedStateStore {
   /// Canonicalizes `key`/`aux` in place (no-op without a hook), then
   /// stages the canonical tuple — the canonical key is what gets hashed,
   /// so symmetric siblings land in one shard slot and dedup to one id.
-  /// Safe to call concurrently on distinct Staging objects. In kDelta
-  /// mode `parent_key` must be the parent's *stored* (already canonical)
-  /// key, so the xor-delta relates two canonical representatives.
+  /// Safe to call concurrently on distinct Staging objects.
   void StageCanonical(Staging* staging, uint64_t* key, uint64_t* aux,
-                      uint32_t parent, GlobalNode move,
-                      const uint64_t* parent_key = nullptr) const;
+                      uint32_t parent, GlobalNode move) const;
 
   /// Commits `num_chunks` staged chunks, in chunk order. Keys already
   /// present (in the store or earlier in the batch) are dropped. Shard
@@ -474,10 +425,10 @@ class ShardedStateStore {
   /// the previous retire — i.e. of the levels that have been fully
   /// expanded, whose aux (an expansion cache) is never read again — and
   /// in kCompact their key words too, keeping only the current
-  /// frontier's resident. Parents, keys (kPlain, kDelta), fingerprints
-  /// and the probe tables stay (kCompact probes only fingerprints), so
-  /// dedup and witness replay are unaffected. AuxOf of retired ids, and
-  /// in kCompact KeyOf, become invalid (debug-checked).
+  /// frontier's resident. Parents, kPlain keys, fingerprints and the
+  /// probe tables stay (kCompact probes only fingerprints), so dedup and
+  /// witness replay are unaffected. AuxOf of retired ids, and in kCompact
+  /// KeyView, become invalid (debug-checked).
   void RetireExpanded();
 
   /// Live bytes currently staged in `staging` (the peak_staging_bytes
@@ -496,7 +447,7 @@ class ShardedStateStore {
   };
   struct Shard {
     /// kPlain: all keys. kCompact: keys of locals >= frontier_base only.
-    /// kDelta: unused (identity lives in recs). stored_words_ per key.
+    /// stored_words_ per key.
     std::vector<uint64_t> keys;
     /// Aux of locals >= aux_base only.
     std::vector<uint64_t> aux;
@@ -506,23 +457,10 @@ class ShardedStateStore {
     /// Full 64-bit key hash per local id: the probe prefilter (the whole
     /// identity in kCompact), and what table growth rehashes from.
     std::vector<uint64_t> hashes;
-    /// kDelta: byte offset of each local id's record in recs.
-    std::vector<uint64_t> rec_off;
-    std::vector<uint8_t> recs;  ///< kDelta: varint key records.
     /// kCompact: first local id whose key words are still resident.
     uint32_t frontier_base = 0;
     /// First local id whose aux words are still resident.
     uint32_t aux_base = 0;
-  };
-  /// Commit scratch: one provisional fresh insertion of the delta
-  /// two-pass commit (probe pass records it, append pass materializes).
-  struct PendingAppend {
-    const uint64_t* key_aux;
-    const uint8_t* rec;
-    uint32_t rec_len;
-    uint32_t parent;
-    int32_t move_txn;
-    int32_t move_node;
   };
 
   static Slot Unpack(uint64_t packed) {
@@ -541,8 +479,6 @@ class ShardedStateStore {
   }
 
   const uint64_t* KeyRaw(uint32_t id) const {
-    WYDB_DCHECK(options_.encoding != StoreOptions::KeyEncoding::kDelta &&
-                "KeyOf is unavailable in delta encoding; use KeyView");
     const Slot s = Unpack(index_[id]);
     const Shard& shard = shards_[s.shard];
     WYDB_DCHECK(s.local >= shard.frontier_base && "retired state");
@@ -554,30 +490,12 @@ class ShardedStateStore {
   /// Appends a tuple to `shard` (no table insertion); returns local id.
   uint32_t AppendToShard(Shard* shard, const uint64_t* key_aux,
                          const Staging::Pending& p);
-  /// kDelta append: aux + parent link + record bytes + stored hash.
-  uint32_t AppendDeltaToShard(Shard* shard, const PendingAppend& a);
   /// Doubles the probe table, rehashing from the stored hashes.
   void GrowShard(Shard* shard);
   /// Packed keys: writes `key` bit-packed into `out` (stored_words_
   /// words), and the reverse.
   void PackKey(const uint64_t* key, uint64_t* out) const;
   void UnpackKey(const uint64_t* packed, uint64_t* key) const;
-
-  /// kDelta: encodes the record for `key` into staging->rec_scratch_
-  /// (full record when `parent_key` is null or the delta would be
-  /// larger) and appends it to the shard's record lane.
-  void EncodeRecord(Staging* staging, uint32_t shard, const uint64_t* key,
-                    uint32_t parent, const uint64_t* parent_key) const;
-  /// kDelta: reconstructs the full key of committed global id `id` via
-  /// the parent-record chain, cached in `cache`. Reads only committed
-  /// data — safe concurrently with provisional slot/hash insertions.
-  const uint64_t* ReconstructKey(uint32_t id, KeyDecodeCache* cache) const;
-  /// kDelta probe: does committed (shard, local) hold exactly `key`?
-  bool CommittedKeyEquals(uint32_t shard, uint32_t local,
-                          const uint64_t* key, KeyDecodeCache* cache) const;
-
-  size_t CommitStagedDelta(std::vector<Staging>* chunks, size_t num_chunks,
-                           ThreadPool* pool);
 
   const int key_words_;
   const int aux_words_;
@@ -594,10 +512,6 @@ class ShardedStateStore {
   /// Scratch for CommitStaged: staging-seq -> packed slot of the fresh
   /// insertion, or ~0 for duplicates. Sized to the batch, reused.
   std::vector<uint64_t> fresh_marks_;
-  /// Delta-commit scratch: per-shard provisional appends (probe pass
-  /// fills, append pass drains) and per-worker decode caches.
-  std::vector<std::vector<PendingAppend>> append_scratch_;
-  std::vector<KeyDecodeCache> commit_caches_;
   /// Per-shard local count at the first commit since the last
   /// RetireExpanded — the boundary below which states are expanded.
   std::vector<uint32_t> retire_base_;

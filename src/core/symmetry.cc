@@ -178,9 +178,8 @@ void ReplayReducedPath(
   std::iota(tau->begin(), tau->end(), 0);
   std::vector<int> sigma(n), next_tau(n);
   std::vector<uint64_t> child(key_words);
-  // KeyView covers the delta-encoded store too: ancestor keys are
-  // reconstructed through the decode cache (kCompact has no ancestor
-  // keys at all and is rejected before a reduced search starts).
+  // KeyView unpacks ancestor keys (kCompact has no ancestor keys at all
+  // and is rejected before a reduced search starts).
   ShardedStateStore::KeyDecodeCache decode;
   for (size_t k = 1; k < ids.size(); ++k) {
     const GlobalNode g = store.MoveOf(ids[k]);

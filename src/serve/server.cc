@@ -109,11 +109,6 @@ Server::Server(const ServerOptions& options)
 }
 
 Result<Server> Server::Create(const ServerOptions& options) {
-  if (options.store.encoding == StoreOptions::KeyEncoding::kCompact) {
-    return Status::InvalidArgument(
-        "wydb_serve rejects --store-encoding compact: compacted verdicts "
-        "are probabilistic, and a verdict cache must only hold exact ones");
-  }
   if (options.cache_entries < 1) {
     return Status::InvalidArgument("cache capacity must be at least 1");
   }
@@ -304,7 +299,6 @@ void Server::HandleCertify(const std::vector<std::string>& params,
   SafetyCheckOptions base;
   base.max_states = max_states;
   base.search_threads = options_.search_threads;
-  base.store = options_.store;
   if (timeout_ms > 0) {
     base.deadline = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(timeout_ms);
@@ -486,7 +480,6 @@ Status Server::Preload(const std::string& text) {
   opts.max_states = options_.max_states;
   opts.engine = options_.engine;
   opts.search_threads = options_.search_threads;
-  opts.store = options_.store;
   WYDB_ASSIGN_OR_RETURN(SafetyReport report, CheckSafeAndDeadlockFree(sys, opts));
   CertificateBundle bundle = MakeCertificate(key, report);
   SystemProfile profile = ProfileOf(sys);

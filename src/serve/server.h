@@ -41,11 +41,6 @@ struct ServerOptions {
   /// full expansion, so under kReduced it runs kIncremental instead.
   SearchEngine engine = SearchEngine::kIncremental;
   int search_threads = 0;
-  /// Store key encoding of every search (DESIGN.md §9). kCompact is
-  /// rejected at startup: compacted verdicts are not exact, and a serving
-  /// cache must never launder a probabilistic refutation into a
-  /// certificate.
-  StoreOptions store;
   /// Verdict-journal path ("" = no persistence). Freshly computed
   /// verdicts are appended; at startup the journal's salvageable prefix
   /// reseeds the cache (DESIGN.md §13).

@@ -2,7 +2,7 @@
 // every layer of the stack must tell one consistent story —
 //
 //   * the full-expansion engines (incremental, parallel sharded at >1
-//     thread, delta-encoded) agree with the naive reference search of
+//     thread) agree with the naive reference search of
 //     tests/reference_search.h on the exact deadlock verdict, witness, and
 //     states_visited, in both detection modes;
 //   * the reduced engine (kReduced, serial and 4-thread) agrees on every
@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "analysis/deadlock_checker.h"
@@ -148,27 +149,13 @@ void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
     ref.mode = mode;
     auto b = reference::CheckDeadlockFreedom(s, ref);
     ASSERT_TRUE(b.ok());
-    // The last config reruns the parallel engine over the delta-encoded
-    // store (DESIGN.md §9.1): reconstruction through the decode cache
-    // must leave every verdict, witness, and count bit-identical.
-    struct EngineConfig {
-      SearchEngine engine;
-      int threads;
-      StoreOptions::KeyEncoding encoding;
-    };
-    for (auto [engine, threads, encoding] : std::vector<EngineConfig>{
-             {SearchEngine::kIncremental, 0,
-              StoreOptions::KeyEncoding::kPlain},
-             {SearchEngine::kParallelSharded, 2,
-              StoreOptions::KeyEncoding::kPlain},
-             {SearchEngine::kParallelSharded, 3,
-              StoreOptions::KeyEncoding::kPlain},
-             {SearchEngine::kParallelSharded, 2,
-              StoreOptions::KeyEncoding::kDelta}}) {
+    for (auto [engine, threads] : std::vector<std::pair<SearchEngine, int>>{
+             {SearchEngine::kIncremental, 0},
+             {SearchEngine::kParallelSharded, 2},
+             {SearchEngine::kParallelSharded, 3}}) {
       DeadlockCheckOptions opts = ref;
       opts.engine = engine;
       opts.search_threads = threads;
-      opts.store.encoding = encoding;
       auto a = CheckDeadlockFreedom(s, opts);
       ASSERT_TRUE(a.ok());
       ASSERT_EQ(a->deadlock_free, b->deadlock_free);
@@ -211,11 +198,6 @@ void RunCaseWithShape(uint64_t seed, const RandomSystemOptions& shape) {
       opts.mode = mode;
       opts.engine = SearchEngine::kReduced;
       opts.search_threads = threads;
-      // The 4-thread leg also runs delta-encoded: canonical-key deltas
-      // must not perturb the reduced search either.
-      if (threads == 4) {
-        opts.store.encoding = StoreOptions::KeyEncoding::kDelta;
-      }
       auto a = CheckDeadlockFreedom(s, opts);
       ASSERT_TRUE(a.ok());
       ASSERT_EQ(a->deadlock_free, stuck_report->deadlock_free)

@@ -455,14 +455,6 @@ TEST(ServeTest, StatsLineReflectsTheCounters) {
   EXPECT_NE(stats.find("p50_us="), std::string::npos) << stats;
 }
 
-TEST(ServeTest, CompactStoreIsRejectedAtStartup) {
-  ServerOptions opts;
-  opts.store.encoding = StoreOptions::KeyEncoding::kCompact;
-  opts.engine = SearchEngine::kParallelSharded;
-  auto server = Server::Create(opts);
-  EXPECT_FALSE(server.ok());
-}
-
 /// The acceptance bar: on fuzzed systems, ±1-transaction requests served
 /// through the cache's incremental paths must produce verdicts identical
 /// to a full exact run of the checker on the same request.

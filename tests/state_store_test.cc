@@ -146,8 +146,9 @@ void CheckStagedCommitMatchesSerial(int key_words, int shards,
   sharded.CommitStaged(&chunks, chunks.size(), &pool);
 
   ASSERT_EQ(serial.size(), sharded.size());
+  ShardedStateStore::KeyDecodeCache decode;
   for (uint32_t id = 0; id < serial.size(); ++id) {
-    ASSERT_EQ(std::memcmp(serial.KeyOf(id), sharded.KeyOf(id),
+    ASSERT_EQ(std::memcmp(serial.KeyOf(id), sharded.KeyView(id, &decode),
                           key_words * sizeof(uint64_t)),
               0)
         << "id " << id;

@@ -1,8 +1,8 @@
-// Store memory-mode tests (DESIGN.md §9): delta-encoded keys, hash
-// compaction, and the windowed commit of wide levels must keep the
-// engines' bit-identical contract (plain/delta) or its documented
-// relaxation (compact: non-certified verdicts, sound witnesses), across
-// shard, chunk, batch, and thread counts.
+// Store memory-mode tests (DESIGN.md §9): packed keys, hash compaction,
+// and the windowed commit of wide levels must keep the engines'
+// bit-identical contract (plain) or its documented relaxation (compact:
+// non-certified verdicts, sound witnesses), across shard, chunk, batch,
+// and thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,112 +16,15 @@
 #include "common/thread_pool.h"
 #include "core/state_store.h"
 #include "gen/system_gen.h"
+#include "tests/reference_search.h"
 
 namespace wydb {
 namespace {
-
-StoreOptions DeltaOptions() {
-  StoreOptions o;
-  o.encoding = StoreOptions::KeyEncoding::kDelta;
-  return o;
-}
 
 StoreOptions CompactOptions() {
   StoreOptions o;
   o.encoding = StoreOptions::KeyEncoding::kCompact;
   return o;
-}
-
-// ---------------------------------------------------------------------
-// Store level: the delta-encoded staged commit must reproduce serial
-// Intern ids, keys (via KeyView reconstruction), parents, and moves bit
-// for bit, like the plain-mode harness in state_store_test.cc.
-
-void CheckDeltaCommitMatchesSerial(int key_words, int shards,
-                                   size_t chunk_size, int threads,
-                                   const std::vector<uint64_t>& keys,
-                                   size_t num_keys) {
-  StateStore serial(key_words, key_words);
-  ShardedStateStore sharded(key_words, key_words, shards, DeltaOptions());
-  ThreadPool pool(threads);
-
-  std::vector<uint64_t> aux(key_words);
-  auto aux_of = [&](const uint64_t* key) {
-    for (int w = 0; w < key_words; ++w) aux[w] = key[w] ^ 5;
-    return aux.data();
-  };
-  uint32_t root_a = serial.Intern(keys.data()).id;
-  std::memcpy(serial.MutableAuxOf(root_a), aux_of(keys.data()),
-              key_words * sizeof(uint64_t));
-  uint32_t root_b = sharded.InternRoot(keys.data());
-  std::memcpy(sharded.MutableAuxOf(root_b), aux_of(keys.data()),
-              key_words * sizeof(uint64_t));
-  ASSERT_EQ(root_a, root_b);
-
-  // The parent cycles through the live serial id range, so the staged
-  // batch holds deltas against both committed parents and parents that
-  // are themselves staged in this batch (id < child id either way).
-  std::vector<ShardedStateStore::Staging> chunks;
-  size_t staged = 0;
-  for (size_t i = 1; i < num_keys;) {
-    chunks.emplace_back();
-    sharded.ResetStaging(&chunks.back());
-    for (size_t c = 0; c < chunk_size && i < num_keys; ++c, ++i) {
-      const uint64_t* key = keys.data() + i * key_words;
-      uint32_t parent = static_cast<uint32_t>(staged % serial.size());
-      GlobalNode move{static_cast<int>(staged), 0};
-      sharded.Stage(&chunks.back(), key, aux_of(key), parent, move,
-                    serial.KeyOf(parent));
-      auto r = serial.Intern(key, parent, move);
-      if (r.inserted) {
-        std::memcpy(serial.MutableAuxOf(r.id), aux_of(key),
-                    key_words * sizeof(uint64_t));
-      }
-      ++staged;
-    }
-  }
-  sharded.CommitStaged(&chunks, chunks.size(), &pool);
-
-  ASSERT_EQ(serial.size(), sharded.size());
-  ShardedStateStore::KeyDecodeCache decode;
-  for (uint32_t id = 0; id < serial.size(); ++id) {
-    ASSERT_EQ(std::memcmp(serial.KeyOf(id), sharded.KeyView(id, &decode),
-                          key_words * sizeof(uint64_t)),
-              0)
-        << "id " << id;
-    ASSERT_EQ(std::memcmp(serial.AuxOf(id), sharded.AuxOf(id),
-                          key_words * sizeof(uint64_t)),
-              0)
-        << "id " << id;
-    ASSERT_EQ(serial.ParentOf(id), sharded.ParentOf(id)) << "id " << id;
-    ASSERT_EQ(serial.MoveOf(id), sharded.MoveOf(id)) << "id " << id;
-  }
-}
-
-TEST(DeltaStoreTest, StagedCommitMatchesSerialIntern) {
-  const int kKeyWords = 3;
-  Rng rng(2024);
-  const size_t kNumKeys = 4000;
-  std::vector<uint64_t> keys(kNumKeys * kKeyWords);
-  // ~50% duplicate keys; word 1+ differ from word 0 so xor-deltas are
-  // sparse but non-trivial.
-  for (size_t i = 0; i < kNumKeys; ++i) {
-    uint64_t v = rng.NextBelow(kNumKeys / 2);
-    for (int w = 0; w < kKeyWords; ++w) {
-      keys[i * kKeyWords + w] =
-          (v + 1) * 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(w) * 17;
-    }
-  }
-  for (int shards : {1, 4, 16}) {
-    for (size_t chunk : {7u, 64u, 4096u}) {
-      for (int threads : {1, 4}) {
-        SCOPED_TRACE(testing::Message() << "shards " << shards << " chunk "
-                                        << chunk << " threads " << threads);
-        CheckDeltaCommitMatchesSerial(kKeyWords, shards, chunk, threads,
-                                      keys, kNumKeys);
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -141,7 +44,6 @@ std::vector<ShardedStateStore::Staging> StageLevel(
   Rng rng(seed);
   std::vector<ShardedStateStore::Staging> chunks;
   std::vector<uint64_t> key(kw), aux(kw);
-  ShardedStateStore::KeyDecodeCache decode;
   for (size_t i = 0; i < num_keys;) {
     chunks.emplace_back();
     store.ResetStaging(&chunks.back());
@@ -155,8 +57,7 @@ std::vector<ShardedStateStore::Staging> StageLevel(
       const uint32_t parent =
           first_parent + static_cast<uint32_t>(i % parents);
       store.Stage(&chunks.back(), key.data(), aux.data(), parent,
-                  GlobalNode{static_cast<int>(i), 1},
-                  store.KeyView(parent, &decode));
+                  GlobalNode{static_cast<int>(i), 1});
     }
   }
   return chunks;
@@ -210,8 +111,7 @@ void CheckSplitCommitMatchesOneBatch(const StoreOptions& options,
 }
 
 TEST(CommitCompositionTest, SplitBatchesAreIdIdenticalToOneBatch) {
-  for (const StoreOptions& options :
-       {StoreOptions{}, DeltaOptions(), CompactOptions()}) {
+  for (const StoreOptions& options : {StoreOptions{}, CompactOptions()}) {
     for (uint64_t seed : {7u, 8u, 9u}) {
       SCOPED_TRACE(testing::Message()
                    << "encoding " << static_cast<int>(options.encoding)
@@ -222,132 +122,11 @@ TEST(CommitCompositionTest, SplitBatchesAreIdIdenticalToOneBatch) {
 }
 
 // ---------------------------------------------------------------------
-// Engine level: delta runs must be bit-identical to the plain
-// parallel engine — verdicts, visited/interned counts, and witnesses —
-// at every thread count; compact must agree on verdicts (collisions at
-// these sizes are ~2^-40) while marking itself non-exact.
-
-struct ModeCase {
-  const char* label;
-  StoreOptions store;
-  int threads;
-};
-
-std::vector<ModeCase> BitIdenticalModes() {
-  return {
-      {"delta/t1", DeltaOptions(), 1},
-      {"delta/t2", DeltaOptions(), 2},
-      {"delta/t4", DeltaOptions(), 4},
-  };
-}
-
-TEST(StoreModeCrossval, DeadlockAndSafetyBitIdenticalToPlain) {
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
-    RandomSystemOptions opts;
-    opts.num_sites = 2;
-    opts.entities_per_site = 2;
-    opts.num_transactions = 3;
-    opts.entities_per_txn = 2;
-    opts.seed = seed;
-    auto sys = GenerateRandomSystem(opts);
-    ASSERT_TRUE(sys.ok());
-    const TransactionSystem& s = *sys->system;
-
-    DeadlockCheckOptions dref;
-    dref.engine = SearchEngine::kParallelSharded;
-    dref.search_threads = 2;
-    auto db = CheckDeadlockFreedom(s, dref);
-    ASSERT_TRUE(db.ok());
-    SafetyCheckOptions sref;
-    sref.engine = SearchEngine::kParallelSharded;
-    sref.search_threads = 2;
-    auto sb = CheckSafeAndDeadlockFree(s, sref);
-    auto cb = CheckSafety(s, sref);
-    ASSERT_TRUE(sb.ok());
-    ASSERT_TRUE(cb.ok());
-
-    for (const ModeCase& mode : BitIdenticalModes()) {
-      SCOPED_TRACE(testing::Message() << "seed " << seed << " mode "
-                                      << mode.label);
-      DeadlockCheckOptions dopt = dref;
-      dopt.store = mode.store;
-      dopt.search_threads = mode.threads;
-      auto da = CheckDeadlockFreedom(s, dopt);
-      ASSERT_TRUE(da.ok());
-      ASSERT_EQ(da->deadlock_free, db->deadlock_free);
-      ASSERT_EQ(da->states_visited, db->states_visited);
-      ASSERT_EQ(da->states_interned, db->states_interned);
-      ASSERT_TRUE(da->exact);
-      ASSERT_EQ(da->witness.has_value(), db->witness.has_value());
-      if (da->witness.has_value()) {
-        EXPECT_EQ(da->witness->schedule, db->witness->schedule);
-        EXPECT_EQ(da->witness->prefix_nodes, db->witness->prefix_nodes);
-      }
-
-      SafetyCheckOptions sopt = sref;
-      sopt.store = mode.store;
-      sopt.search_threads = mode.threads;
-      auto sa = CheckSafeAndDeadlockFree(s, sopt);
-      ASSERT_TRUE(sa.ok());
-      ASSERT_EQ(sa->holds, sb->holds);
-      ASSERT_EQ(sa->states_visited, sb->states_visited);
-      ASSERT_EQ(sa->states_interned, sb->states_interned);
-      ASSERT_TRUE(sa->exact);
-      ASSERT_EQ(sa->violation.has_value(), sb->violation.has_value());
-      if (sa->violation.has_value()) {
-        EXPECT_EQ(sa->violation->schedule, sb->violation->schedule);
-        EXPECT_EQ(sa->violation->txn_cycle, sb->violation->txn_cycle);
-      }
-
-      auto ca = CheckSafety(s, sopt);
-      ASSERT_TRUE(ca.ok());
-      ASSERT_EQ(ca->holds, cb->holds);
-      ASSERT_EQ(ca->states_visited, cb->states_visited);
-      if (ca->violation.has_value() && cb->violation.has_value()) {
-        EXPECT_EQ(ca->violation->schedule, cb->violation->schedule);
-      }
-    }
-  }
-}
-
-// The reduced engine composes with delta: same reduced-space ids,
-// counts, and violations as its plain-store run.
-TEST(StoreModeCrossval, ReducedEngineComposesWithDelta) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    RandomSystemOptions opts;
-    opts.num_transactions = 3;
-    opts.entities_per_txn = 2;
-    opts.seed = seed;
-    auto sys = GenerateRandomSystem(opts);
-    ASSERT_TRUE(sys.ok());
-    const TransactionSystem& s = *sys->system;
-
-    DeadlockCheckOptions ref;
-    ref.engine = SearchEngine::kReduced;
-    ref.search_threads = 2;
-    auto b = CheckDeadlockFreedom(s, ref);
-    ASSERT_TRUE(b.ok());
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
-    DeadlockCheckOptions fast = ref;
-    fast.store = DeltaOptions();
-    auto a = CheckDeadlockFreedom(s, fast);
-    ASSERT_TRUE(a.ok());
-    ASSERT_EQ(a->deadlock_free, b->deadlock_free);
-    ASSERT_EQ(a->states_visited, b->states_visited);
-    ASSERT_EQ(a->sleep_set_pruned, b->sleep_set_pruned);
-    ASSERT_EQ(a->witness.has_value(), b->witness.has_value());
-    if (a->witness.has_value()) {
-      EXPECT_EQ(a->witness->schedule, b->witness->schedule);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------
 // Engine level: the 12-worker farm's widest deadlock level holds 5,544
 // states, more than one window, so its search commits that level in
-// several batches. Plain and delta must agree at every thread count, and
-// every run must report the staging bound. Compact must agree too: its
-// retire boundary has to hold across the window commits of a level.
+// several batches. Plain must agree with itself at every thread count,
+// and every run must report the staging bound. Compact must agree too:
+// its retire boundary has to hold across the window commits of a level.
 
 TEST(WindowedCommitTest, WideFarmAgreesAcrossEncodingsAndThreads) {
   ReplicatedFarmOptions fopts;
@@ -370,20 +149,13 @@ TEST(WindowedCommitTest, WideFarmAgreesAcrossEncodingsAndThreads) {
     DeadlockCheckOptions opts = ref;
     opts.search_threads = threads;
     auto plain = CheckDeadlockFreedom(*sys->system, opts);
-    opts.store = DeltaOptions();
-    auto delta = CheckDeadlockFreedom(*sys->system, opts);
     ASSERT_TRUE(plain.ok());
-    ASSERT_TRUE(delta.ok());
-    for (const DeadlockReport* r : {&*plain, &*delta}) {
-      EXPECT_TRUE(r->deadlock_free);
-      EXPECT_EQ(r->states_visited, first->states_visited);
-      EXPECT_EQ(r->states_interned, first->states_interned);
-      EXPECT_GT(r->peak_staging_bytes, 0u);
-    }
+    EXPECT_TRUE(plain->deadlock_free);
+    EXPECT_EQ(plain->states_visited, first->states_visited);
+    EXPECT_EQ(plain->states_interned, first->states_interned);
+    EXPECT_GT(plain->peak_staging_bytes, 0u);
     // Staging is a function of the level, not of the thread count.
     EXPECT_EQ(plain->peak_staging_bytes, first->peak_staging_bytes);
-    // Delta keys must be strictly smaller than plain keys at this scale.
-    EXPECT_LT(delta->arena_bytes, plain->arena_bytes);
 
     opts.store = CompactOptions();
     auto compact = CheckDeadlockFreedom(*sys->system, opts);
@@ -485,8 +257,8 @@ TEST(PackedKeyTest, PackedStoreIsIdIdenticalToFullWords) {
 TEST(PackedKeyTest, SearchesPackTheirKeys) {
   // A safe family system of five 8-step transactions: the Lemma key is
   // five exec words of 8 bits and five arc rows of 5 bits, 65 bits in
-  // two words instead of ten. Verdict and counts match the kDelta store,
-  // which keeps full keys.
+  // two words instead of ten. Verdict and counts match the seed search,
+  // which keeps full keys in hash maps.
   SafeSystemOptions o;
   o.num_transactions = 5;
   o.entities_per_txn = 4;
@@ -495,10 +267,8 @@ TEST(PackedKeyTest, SearchesPackTheirKeys) {
   ASSERT_TRUE(sys.ok());
   SafetyCheckOptions plain;
   plain.search_threads = 1;
-  SafetyCheckOptions delta = plain;
-  delta.store = DeltaOptions();
   auto a = CheckSafeAndDeadlockFree(*sys->system, plain);
-  auto b = CheckSafeAndDeadlockFree(*sys->system, delta);
+  auto b = reference::CheckSafeAndDeadlockFree(*sys->system, plain);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->holds, b->holds);
@@ -596,8 +366,8 @@ TEST(CompactModeTest, SafetyCheckerAgreesAndMarksNonExact) {
 // ---------------------------------------------------------------------
 // Engine x mode combinations.
 
-// kIncremental is the shared driver at one thread, so it takes every
-// memory mode with the same results as the plain store.
+// kIncremental is the shared driver at one thread, so it takes the
+// compact store with the same results as the plain store.
 TEST(StoreModeValidation, IncrementalEngineTakesEveryMemoryMode) {
   auto ring = GenerateRingSystem(3);
   ASSERT_TRUE(ring.ok());
@@ -607,25 +377,21 @@ TEST(StoreModeValidation, IncrementalEngineTakesEveryMemoryMode) {
   auto sb = CheckSafety(*ring->system, splain);
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(sb.ok());
-  for (const StoreOptions& store :
-       {DeltaOptions(), CompactOptions()}) {
-    DeadlockCheckOptions d;
-    d.store = store;
-    auto a = CheckDeadlockFreedom(*ring->system, d);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    EXPECT_EQ(a->deadlock_free, b->deadlock_free);
-    EXPECT_EQ(a->states_visited, b->states_visited);
-    ASSERT_TRUE(a->witness.has_value());
-    EXPECT_EQ(a->witness->schedule, b->witness->schedule);
-    SafetyCheckOptions s;
-    s.store = store;
-    auto sa = CheckSafety(*ring->system, s);
-    ASSERT_TRUE(sa.ok()) << sa.status().ToString();
-    EXPECT_EQ(sa->holds, sb->holds);
-    EXPECT_EQ(sa->states_visited, sb->states_visited);
-    EXPECT_EQ(sa->exact,
-              store.encoding != StoreOptions::KeyEncoding::kCompact);
-  }
+  DeadlockCheckOptions d;
+  d.store = CompactOptions();
+  auto a = CheckDeadlockFreedom(*ring->system, d);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->deadlock_free, b->deadlock_free);
+  EXPECT_EQ(a->states_visited, b->states_visited);
+  ASSERT_TRUE(a->witness.has_value());
+  EXPECT_EQ(a->witness->schedule, b->witness->schedule);
+  SafetyCheckOptions s;
+  s.store = CompactOptions();
+  auto sa = CheckSafety(*ring->system, s);
+  ASSERT_TRUE(sa.ok()) << sa.status().ToString();
+  EXPECT_EQ(sa->holds, sb->holds);
+  EXPECT_EQ(sa->states_visited, sb->states_visited);
+  EXPECT_FALSE(sa->exact);
 }
 
 // Mode/engine conflicts fail fast with InvalidArgument.
@@ -646,9 +412,9 @@ TEST(StoreModeValidation, ReducedEngineRejectsCompaction) {
 }
 
 // ---------------------------------------------------------------------
-// Debug-build guard rails (satellite of ISSUE 6): arena-epoch checks on
-// KeyOf/AuxOf pointers and the retired-state / delta-KeyOf footguns
-// abort under WYDB_DCHECK instead of reading reallocated memory.
+// Debug-build guard rails: arena-epoch checks on KeyOf/AuxOf pointers
+// and the retired-state and key-width footguns abort under WYDB_DCHECK
+// instead of reading reallocated memory or losing key bits.
 
 #if !defined(NDEBUG) && defined(GTEST_HAS_DEATH_TEST)
 
@@ -680,24 +446,24 @@ TEST(ArenaEpochDeathTest, RetiredStateAccessAborts) {
                "retired");
 }
 
+// The plain store retires aux words too, but keeps its keys (kCompact:
+// RetiredStateAccessAborts above).
 TEST(ArenaEpochDeathTest, RetiredAuxAbortsInEveryEncoding) {
-  for (const StoreOptions& options : {StoreOptions{}, DeltaOptions()}) {
-    ShardedStateStore store(1, 1, 2, options);
-    ThreadPool pool(1);
-    const uint64_t root_key = 0;
-    uint32_t root = store.InternRoot(&root_key);
-    std::vector<ShardedStateStore::Staging> chunks(1);
-    store.ResetStaging(&chunks[0]);
-    const uint64_t k = 1;
-    uint64_t aux = 0;
-    store.Stage(&chunks[0], &k, &aux, root, GlobalNode{0, 0}, &root_key);
-    store.CommitStaged(&chunks, 1, &pool);
-    store.RetireExpanded();
-    EXPECT_DEATH({ volatile uint64_t v = store.AuxOf(root)[0]; (void)v; },
-                 "retired");
-    ShardedStateStore::KeyDecodeCache decode;
-    EXPECT_EQ(store.KeyView(root, &decode)[0], 0u);  // Keys stay.
-  }
+  ShardedStateStore store(1, 1, 2);
+  ThreadPool pool(1);
+  const uint64_t root_key = 0;
+  uint32_t root = store.InternRoot(&root_key);
+  std::vector<ShardedStateStore::Staging> chunks(1);
+  store.ResetStaging(&chunks[0]);
+  const uint64_t k = 1;
+  uint64_t aux = 0;
+  store.Stage(&chunks[0], &k, &aux, root, GlobalNode{0, 0});
+  store.CommitStaged(&chunks, 1, &pool);
+  store.RetireExpanded();
+  EXPECT_DEATH({ volatile uint64_t v = store.AuxOf(root)[0]; (void)v; },
+               "retired");
+  ShardedStateStore::KeyDecodeCache decode;
+  EXPECT_EQ(store.KeyView(root, &decode)[0], 0u);  // Keys stay.
 }
 
 TEST(ArenaEpochDeathTest, KeyBitOutsideItsWidthAborts) {
@@ -709,22 +475,6 @@ TEST(ArenaEpochDeathTest, KeyBitOutsideItsWidthAborts) {
   const uint64_t wide[2] = {1, 16};
   EXPECT_DEATH(store.Stage(&chunks[0], wide, nullptr, 0, GlobalNode{0, 0}),
                "width");
-}
-
-TEST(ArenaEpochDeathTest, KeyOfOnPackedStoreAborts) {
-  ShardedStateStore store(2, 0, 2, StoreOptions{}, {4, 4});
-  const uint64_t root[2] = {0, 0};
-  const uint32_t id = store.InternRoot(root);
-  EXPECT_DEATH({ volatile uint64_t v = store.KeyOf(id)[0]; (void)v; },
-               "KeyView");
-}
-
-TEST(ArenaEpochDeathTest, KeyOfOnDeltaStoreAborts) {
-  ShardedStateStore store(1, 0, 2, DeltaOptions());
-  uint64_t k = 0;
-  uint32_t root = store.InternRoot(&k);
-  EXPECT_DEATH({ volatile uint64_t v = store.KeyOf(root)[0]; (void)v; },
-               "KeyView");
 }
 
 #endif  // !NDEBUG && GTEST_HAS_DEATH_TEST

@@ -20,7 +20,9 @@
    exclusive by another (`tools/fifo_gap.wydb`), which runs to
    completion under pure blocking on both engines.
 4. Server smoke: `wydb_serve` flag misuse exits 2 with usage on stderr
-   (including the compact-encoding refusal), and a short scripted
+   (including `--store-encoding`, which the server does not take: it
+   serves only exact verdicts, so it always searches the plain store),
+   and a short scripted
    stdin/stdout session exercises the line protocol: certify, exact
    cache hit on resubmission, error isolation, stats, quit.
 
@@ -204,7 +206,9 @@ def check_cli_smoke(binary: Path) -> list[str]:
         # search runs; well-formed runs keep the stats-line format.
         ([str(sample), "--store-encoding"], 2, "needs a value", None),
         ([str(sample), "--store-encoding", "bogus"], 2,
-         "plain, delta, or compact", None),
+         "plain or compact", None),
+        ([str(sample), "--store-encoding", "delta"], 2,
+         "plain or compact", None),
         # Staging is bounded by committing each search window as it is
         # expanded; no flag sets a memory budget.
         ([str(sample), "--mem-budget-mb", "64"], 2, "unknown option",
@@ -214,15 +218,17 @@ def check_cli_smoke(binary: Path) -> list[str]:
          "non-negative integer", None),
         ([str(sample), "--store-encoding", "compact"], 2,
          "--allow-compaction", None),
-        # Every engine runs the one level-synchronous search, so the
-        # one-thread engine takes the memory modes too.
-        ([str(sample), "--store-encoding", "delta", "--engine",
+        # Every engine runs the one level-synchronous search, so every
+        # engine takes both encodings, except compact under reduced.
+        ([str(sample), "--store-encoding", "plain", "--engine",
           "incremental", "--stats"], 1, None, (STATS_LINE_RE, 2)),
         ([str(sample), "--store-encoding", "compact", "--allow-compaction",
           "--engine", "reduced"], 2, "parallel engine", None),
-        ([str(sample), "--store-encoding", "delta", "--stats"], 1, None,
-         (STATS_LINE_RE, 2)),
-        ([str(sample), "--store-encoding", "delta", "--engine", "reduced",
+        ([str(sample), "--store-encoding", "plain", "--engine", "parallel",
+          "--stats"], 1, None, (STATS_LINE_RE, 2)),
+        ([str(sample), "--store-encoding", "compact", "--allow-compaction",
+          "--engine", "parallel", "--stats"], 1, None, (STATS_LINE_RE, 2)),
+        ([str(sample), "--store-encoding", "plain", "--engine", "reduced",
           "--stats"], 1, None, (STATS_LINE_RE, 2)),
         ([str(sample), "--store-encoding", "compact", "--allow-compaction",
           "--stats"], 1, None, (STATS_LINE_RE, 2)),
@@ -335,8 +341,9 @@ def check_serve_smoke(binary: Path) -> list[str]:
         (["--cache-entries", "0"], "at least 1"),
         (["--engine", "bogus"], "incremental, parallel, or reduced"),
         (["--engine", "reference"], "incremental, parallel, or reduced"),
-        (["--store-encoding", "bogus"], "plain or delta"),
-        (["--store-encoding", "compact"], "refused"),
+        # The server searches only the plain store; the flag is gone.
+        (["--store-encoding", "plain"], "unknown option"),
+        (["--store-encoding", "compact"], "unknown option"),
         (["--preload"], "needs a value"),
         # I/O failure, not flag misuse: exits 2 but without usage.
         (["--preload", "/no/such/file.wydb", "--no-usage"], "cannot open"),

@@ -65,10 +65,8 @@ Analysis options:
                      peak staging bytes, fingerprint collision bound);
                      implies --exact
   --store-encoding <c>  exact-checker state-store key encoding: plain
-                     (default), delta (varint parent-delta records in a
-                     byte arena; same verdicts and state ids, much
-                     smaller), or compact (64-bit fingerprints instead
-                     of full keys; probabilistic, needs
+                     (default; exact) or compact (64-bit fingerprints
+                     instead of full keys; probabilistic, needs
                      --allow-compaction; not with the reduced engine);
                      implies --exact
   --max-states <n>   per-check state budget for the exact oracles
@@ -842,12 +840,10 @@ int main(int argc, char** argv) {
       exact = true;  // The store only exists in the exact checks.
       if (!std::strcmp(name, "plain")) {
         store.encoding = StoreOptions::KeyEncoding::kPlain;
-      } else if (!std::strcmp(name, "delta")) {
-        store.encoding = StoreOptions::KeyEncoding::kDelta;
       } else if (!std::strcmp(name, "compact")) {
         store.encoding = StoreOptions::KeyEncoding::kCompact;
       } else {
-        return Fail("--store-encoding wants plain, delta, or compact");
+        return Fail("--store-encoding wants plain or compact");
       }
     } else if (!std::strcmp(argv[a], "--max-states")) {
       if (a + 1 >= argc) FailMissingValue("--max-states");

@@ -75,10 +75,6 @@ Options:
                      server runs it on the incremental engine
   --search-threads <k>  worker threads for the parallel and reduced
                      engines (0 = hardware concurrency)
-  --store-encoding <c>  state-store key encoding: plain (default) or
-                     delta; compact is refused — a verdict cache must
-                     never hold a probabilistic refutation as a
-                     certificate
   --preload <file>   certify <file> at startup and seed the cache with
                      the result (repeatable)
 
@@ -351,19 +347,6 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[a], "--search-threads")) {
       options.search_threads =
           ParseCountFlag("--search-threads", next("--search-threads"));
-    } else if (!std::strcmp(argv[a], "--store-encoding")) {
-      const char* name = next("--store-encoding");
-      if (!std::strcmp(name, "plain")) {
-        options.store.encoding = StoreOptions::KeyEncoding::kPlain;
-      } else if (!std::strcmp(name, "delta")) {
-        options.store.encoding = StoreOptions::KeyEncoding::kDelta;
-      } else if (!std::strcmp(name, "compact")) {
-        return Fail(
-            "--store-encoding compact is refused: compacted verdicts are "
-            "probabilistic and must not be cached as certificates");
-      } else {
-        return Fail("--store-encoding wants plain or delta");
-      }
     } else if (!std::strcmp(argv[a], "--preload")) {
       preloads.push_back(next("--preload"));
     } else {
